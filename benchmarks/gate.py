@@ -159,7 +159,7 @@ def _quick_observability() -> Dict[str, Any]:
 def _quick_scheduler() -> Dict[str, Any]:
     bench = _bench("bench_scheduler")
     # 12 requests over 2 workers (8 hog / 4 light): six FIFO waves in the
-    # flat arm, so the hog's backlog is still what the light tenants would
+    # one-tenant arm, so the hog's backlog is still what the light tenants would
     # wait behind — the structural gap survives the smaller shape.
     return bench.run_benchmark(corpus_size=12, requests=12, workers=2,
                                light_tenants=bench.LIGHT_TENANTS[:2])
@@ -342,9 +342,9 @@ GATES: Dict[str, GateSpec] = {
         committed=[
             # The acceptance bar: with one hog tenant flooding 4 workers at
             # 32 concurrent sessions, the light tenants' p95 end-to-end
-            # latency under the scheduler is at most half the flat pool's
-            # (fairness_gain >= 2), total throughput keeps the 3.6x floor
-            # the flat pool held in BENCH_concurrency.json, nothing is shed
+            # latency under per-tenant fair share is at most half the
+            # one-tenant FIFO arm's (fairness_gain >= 2), total throughput
+            # keeps the 3.6x floor of BENCH_concurrency.json, nothing is shed
             # (the default queue bounds fit the workload), and every arm
             # returns identical rows.
             Check("fairness_gain", minimum=2.0),

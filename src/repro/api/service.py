@@ -6,25 +6,24 @@ lineage of the loaded corpus, the versioned function registry, and the
 prepared-query cache — and hands out cheap isolated :class:`Session` objects.
 Queries are submitted as :class:`QueryRequest` values and answered with
 :class:`QueryResponse` values, either one at a time (:meth:`query`),
-fire-and-forget (:meth:`submit` / :meth:`gather`), or as a batch over a
-worker thread pool (:meth:`query_batch`).
+fire-and-forget (:meth:`submit` / :meth:`gather`), or as a batch
+(:meth:`query_batch`) — all admitted through the fair-share scheduler of
+the shared :class:`~repro.api.frontend.RequestFrontend`.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-import dataclasses
-import itertools
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
+from repro.api.frontend import RequestFrontend
 from repro.api.prepared import PreparedQueryCache
-from repro.api.request import QueryOptions, QueryRequest, QueryResponse
+from repro.api.request import QueryRequest, QueryResponse
 from repro.api.session import Session
 from repro.core.config import KathDBConfig
-from repro.errors import QueryCancelledError, SchedulerRejection
+from repro.errors import QueryCancelledError
 from repro.data.mmqa import MovieCorpus
 from repro.datamodel.lineage import LineageStore
 from repro.datamodel.views import PopulationReport, ViewPopulator
@@ -40,13 +39,11 @@ from repro.obs.span import Trace
 from repro.obs.trace import Tracer
 from repro.optimizer.profile_cache import ProfileCache
 from repro.relational.catalog import Catalog
-from repro.sched.cancel import CancelToken
-from repro.sched.scheduler import FairShareScheduler, ScheduledTask
 from repro.skills.backends import backend_from_spec
 from repro.skills.store import SkillStore
 
 
-class KathDBService:
+class KathDBService(RequestFrontend):
     """A multi-session KathDB server core."""
 
     def __init__(self, config: Optional[KathDBConfig] = None,
@@ -110,23 +107,11 @@ class KathDBService:
             if self.config.enable_prepared_cache else None)
         self.max_workers = max_workers or self.config.service_max_workers
         self.population_report: Optional[PopulationReport] = None
-        self._session_ids = itertools.count(1)
-        self._pool: Optional[concurrent.futures.ThreadPoolExecutor] = None
-        self._pool_lock = threading.Lock()
+        self._close_lock = threading.Lock()
         self._closed = False
-        # The admission scheduler replaces the flat worker pool: per-tenant
-        # fair-share queues inside priority classes, bounded backpressure,
-        # deadline shedding.  When disabled (enable_scheduler=False — e.g.
-        # the shards of a ShardedService, or the flat-pool benchmark
-        # baseline) the legacy _ensure_pool() path is used instead.
-        self.scheduler: Optional[FairShareScheduler] = (
-            FairShareScheduler(
-                workers=self.max_workers,
-                queue_limit=self.config.sched_queue_limit,
-                reservations=self.config.sched_class_reservations or None,
-                tenant_weights=self.config.sched_tenant_weights or None,
-                metrics=self.metrics)
-            if self.config.enable_scheduler else None)
+        # Every request is admitted through the fair-share scheduler with
+        # one worker slot per service worker.
+        super().__init__(self.config, self.metrics, self.max_workers)
         # The legacy stats surfaces stay API-compatible as registry views:
         # gateway_stats()/skill_stats() read *through* the registry, so one
         # store owns every number the service reports.
@@ -139,8 +124,6 @@ class KathDBService:
         if self.gateway_store is not None:
             self.metrics.register_view("gateway_cache_store",
                                        self.gateway_store.stats.as_dict)
-        if self.scheduler is not None:
-            self.metrics.register_view("sched", self.scheduler.stats)
 
     def _build_gateway_store(self):
         """The durable gateway cache store these config knobs imply, or None.
@@ -225,163 +208,20 @@ class KathDBService:
         return Session(self, session_id, user=user, tenant_id=tenant_id)
 
     # -- querying ----------------------------------------------------------------------
-    def query(self, request: Union[str, QueryRequest],
-              user: Optional[UserAgent] = None,
-              options: Optional[QueryOptions] = None) -> QueryResponse:
-        """Answer one request in a fresh throwaway session."""
-        return self._schedule(self._coerce(request, user, options)).result()
-
-    def submit(self, request: Union[str, QueryRequest],
-               user: Optional[UserAgent] = None,
-               options: Optional[QueryOptions] = None
-               ) -> "concurrent.futures.Future[QueryResponse]":
-        """Admit one request to the scheduler; returns a future.
-
-        The future always resolves to a :class:`QueryResponse` — a shed
-        request (full queue, lapsed deadline, draining scheduler) yields a
-        structured ``ok=False`` response with ``shed_reason`` set rather
-        than raising.
-        """
-        return self._schedule(self._coerce(request, user, options))
-
-    def gather(self, futures: Iterable["concurrent.futures.Future[QueryResponse]"]
-               ) -> List[QueryResponse]:
-        """Wait for submitted requests, preserving submission order."""
-        return [future.result() for future in futures]
-
-    def query_batch(self, requests: Sequence[Union[str, QueryRequest]],
-                    user: Optional[UserAgent] = None,
-                    options: Optional[QueryOptions] = None,
-                    jobs: Optional[int] = None) -> List[QueryResponse]:
-        """Answer many requests, each in its own session.
-
-        ``jobs`` caps this batch's in-flight requests (default: the service
-        worker count); ``jobs=1`` degrades to a serial loop, which by design
-        produces row-identical results to the concurrent path.  All paths
-        funnel through :meth:`_schedule`, so batch requests queue under
-        their tenants like any other work.
-        """
-        coerced = [self._coerce(r, user, options) for r in requests]
-        if len(coerced) > 1:
-            # One agent shared across concurrent requests — whether via the
-            # user= convenience parameter or embedded in the QueryRequests —
-            # would race its internal state (e.g. a ScriptedUser's correction
-            # cursor); give every request an equivalent independent copy.
-            coerced = [self._isolate_user(request) for request in coerced]
-        workers = jobs or self.max_workers
-        if workers <= 1 or len(coerced) <= 1:
-            # Serial: at most one request in flight at a time.
-            return [self._schedule(request).result() for request in coerced]
-        limit = min(workers, len(coerced))
-        if self.scheduler is None:
-            # Legacy flat pool (enable_scheduler=False): a private per-batch
-            # pool, exactly the pre-scheduler dispatch path.
-            with concurrent.futures.ThreadPoolExecutor(
-                    max_workers=limit,
-                    thread_name_prefix="kathdb-batch") as pool:
-                return list(pool.map(self._run, coerced))
-        # A counting gate caps this batch's in-flight share of the scheduler
-        # at ``jobs`` without blocking other callers' submissions.
-        self.scheduler.ensure_workers(limit)
-        gate = threading.Semaphore(limit)
-        futures: List["concurrent.futures.Future[QueryResponse]"] = []
-        for request in coerced:
-            gate.acquire()
-            future = self._schedule(request)
-            future.add_done_callback(lambda _f: gate.release())
-            futures.append(future)
-        return [future.result() for future in futures]
-
-    # -- internals ---------------------------------------------------------------------
-    def _coerce(self, request: Union[str, QueryRequest],
-                user: Optional[UserAgent],
-                options: Optional[QueryOptions]) -> QueryRequest:
-        if isinstance(request, str):
-            return QueryRequest(nl_query=request, user=user,
-                                options=options or QueryOptions())
-        return request
-
-    def _isolate_user(self, request: QueryRequest) -> QueryRequest:
-        """Swap a request's agent for an independent copy (stateful agents)."""
-        if request.user is None:
-            return request
-        cloned = request.user.clone()
-        if cloned is request.user:
-            return request
-        return dataclasses.replace(request, user=cloned)
-
-    def _schedule(self, request: QueryRequest
-                  ) -> "concurrent.futures.Future[QueryResponse]":
-        """The single dispatch entry point behind query/submit/query_batch.
-
-        Resolves the request's (tenant, priority class, deadline), admits it
-        to the fair-share scheduler, and returns a future that *always*
-        resolves to a response: scheduler rejections (backpressure, lapsed
-        deadline, shutdown) become structured ``ok=False`` responses with
-        ``shed_reason`` set instead of exceptions.
-        """
-        session_name = f"s{next(self._session_ids)}"
-        tenant, sched_class, deadline_ms = request.sched_params(
-            self.config.sched_default_priority)
-        tenant = tenant or session_name
-        if self.scheduler is None:
-            # Legacy flat pool: no queueing policy, no deadline enforcement.
-            return self._ensure_pool().submit(
-                self._run, request, session_name, None, tenant)
-        token = CancelToken.with_deadline_ms(deadline_ms)
-
-        def runner(task: ScheduledTask) -> QueryResponse:
-            return self._run(request, session_name, task, tenant)
-
-        def shed(task: ScheduledTask, reason: str) -> QueryResponse:
-            return self._shed_response(request, session_name, tenant,
-                                       task.sched_class, reason,
-                                       queue_ms=task.queue_ms)
-
-        if self.scheduler.in_worker():
-            # Re-entrant submission from inside a worker (e.g. a nested
-            # query): run inline — queueing could deadlock a full pool.
-            future: "concurrent.futures.Future[QueryResponse]" = \
-                concurrent.futures.Future()
-            future.set_result(self.scheduler.run_inline(
-                runner, tenant, sched_class, token=token))
-            return future
-        try:
-            return self.scheduler.submit(runner, tenant, sched_class,
-                                         token=token, shed_result=shed)
-        except SchedulerRejection as rejection:
-            future = concurrent.futures.Future()
-            future.set_result(self._shed_response(
-                request, session_name, tenant, sched_class, rejection.reason))
-            return future
-
-    def _shed_response(self, request: QueryRequest, session_id: str,
-                       tenant: str, sched_class: str, reason: str,
-                       queue_ms: float = 0.0) -> QueryResponse:
-        """A structured ``ok=False`` response for a request that never ran."""
-        stats = (self.scheduler.tenant_snapshot(tenant)
-                 if self.scheduler is not None else None)
-        return QueryResponse(
-            request=request, result=None, session_id=session_id, ok=False,
-            error=f"request shed by scheduler ({reason}) for tenant {tenant!r}",
-            shed_reason=reason, sched_class=sched_class, queue_ms=queue_ms,
-            scheduler_stats=stats)
-
-    def _run(self, request: QueryRequest, session_name: Optional[str] = None,
-             task: Optional[ScheduledTask] = None,
-             tenant: Optional[str] = None) -> QueryResponse:
+    def _execute(self, request: QueryRequest, session_name: str,
+                 tenant: str) -> QueryResponse:
         """Execute one request in a fresh session, capturing failures."""
         session = self.session(user=request.user, name=session_name,
                                tenant_id=tenant)
         start_pc = time.perf_counter()
         try:
-            response = session.query(request)
+            return session.query(request)
         except QueryCancelledError as cancelled:
             # Cooperative cancellation (deadline mid-flight): the partial
             # work was abandoned at an operator/gateway boundary; the
             # session was throwaway, so no shared state is left dirty.
             quota = session.quota_state()
-            response = QueryResponse(
+            return QueryResponse(
                 request=request, result=None, session_id=session.id,
                 ok=False, error=f"query cancelled: {cancelled.reason}",
                 shed_reason=cancelled.reason,
@@ -392,7 +232,7 @@ class KathDBService:
                 trace_id=session.last_trace_id)
         except Exception as error:  # noqa: BLE001 - service boundary
             quota = session.quota_state()
-            response = QueryResponse(
+            return QueryResponse(
                 request=request, result=None, session_id=session.id,
                 ok=False, error=f"{type(error).__name__}: {error}",
                 tokens_used=quota["tokens_used"],
@@ -400,12 +240,6 @@ class KathDBService:
                 quota_exhausted=bool(quota["quota_exhausted"]),
                 latency_ms=(time.perf_counter() - start_pc) * 1000.0,
                 trace_id=session.last_trace_id)
-        if task is not None:
-            response.queue_ms = task.queue_ms
-            response.sched_class = task.sched_class
-        if self.scheduler is not None and tenant is not None:
-            response.scheduler_stats = self.scheduler.tenant_snapshot(tenant)
-        return response
 
     def _trace_finished(self, trace: Trace) -> None:
         """Tracer hook: fan a finished trace out to every sink.
@@ -421,32 +255,21 @@ class KathDBService:
             except OSError:
                 self.metrics.counter("trace_sink_errors").inc()
 
-    def _ensure_pool(self) -> concurrent.futures.ThreadPoolExecutor:
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = concurrent.futures.ThreadPoolExecutor(
-                    max_workers=self.max_workers, thread_name_prefix="kathdb-svc")
-            return self._pool
-
     # -- lifecycle / introspection -------------------------------------------------------
     def shutdown(self) -> None:
-        """Stop the worker pool and flush/close persistent backends.
+        """Drain the scheduler and flush/close persistent backends.
 
-        Idempotent: the pool teardown always runs (and re-runs harmlessly),
-        while the backend closes — the gateway's durable cache store, the
-        skill store's backend, the JSONL trace sink — happen exactly once.
-        File and SQLite-backed runs must never lose buffered writes to a
-        double ``shutdown()`` or a ``with`` block that also calls it.
+        Idempotent: the scheduler drain and the backend closes — the
+        gateway's durable cache store, the skill store's backend, the JSONL
+        trace sink — happen exactly once.  File and SQLite-backed runs must
+        never lose buffered writes to a double ``shutdown()`` or a ``with``
+        block that also calls it.
         """
-        with self._pool_lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
+        with self._close_lock:
             if self._closed:
                 return
             self._closed = True
-        if self.scheduler is not None:
-            self.scheduler.shutdown(wait=True)
+        self.scheduler.shutdown(wait=True)
         if self.gateway is not None:
             self.gateway.close()
         if self.skill_store is not None:
@@ -471,18 +294,6 @@ class KathDBService:
     def prepared_stats(self) -> Dict[str, int]:
         """Prepared-query cache counters (empty when the cache is disabled)."""
         return self.prepared.stats.as_dict() if self.prepared is not None else {}
-
-    def scheduler_stats(self) -> Optional[Dict[str, Any]]:
-        """Fair-share scheduler state (None when the scheduler is disabled).
-
-        A view over the shared :class:`MetricsRegistry`, matching how
-        ``gateway_stats()``/``skill_stats()`` are surfaced: per-class queue
-        depth/running/reservations, per-tenant queued/shed/expired counts,
-        and the admitted/completed/shed/expired totals.
-        """
-        if self.scheduler is None:
-            return None
-        return self.metrics.view("sched")
 
     def skill_stats(self) -> Optional[Dict[str, int]]:
         """Skill-store hit/miss/revalidation counters (None when disabled).
@@ -555,9 +366,8 @@ class KathDBService:
         """A short status summary for operators."""
         lines = [f"KathDBService: {len(self.catalog)} catalog tables, "
                  f"{len(self.registry.names())} generated functions, "
-                 f"{self.max_workers} workers"]
-        if self.scheduler is not None:
-            lines.append(self.scheduler.describe())
+                 f"{self.max_workers} workers",
+                 self.scheduler.describe()]
         if self.prepared is not None:
             lines.append(self.prepared.describe())
         if self.gateway is not None:

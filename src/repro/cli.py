@@ -150,10 +150,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                         help="print the fair-share scheduler's per-class and "
                              "per-tenant counters after the run (forces "
                              "service mode)")
-    parser.add_argument("--no-scheduler", action="store_true",
-                        help="bypass the fair-share scheduler and use the flat "
-                             "thread pool (the pre-scheduler dispatch path; "
-                             "forces service mode)")
     return parser
 
 
@@ -235,11 +231,8 @@ def print_span_tree(spans: Sequence[Dict[str, object]], output) -> None:
         emit(root, 0)
 
 
-def print_sched_stats(stats: Optional[Dict[str, object]], output) -> None:
-    """Render a scheduler stats snapshot (or note that it is disabled)."""
-    if stats is None:
-        print("scheduler: disabled (--no-scheduler)", file=output)
-        return
+def print_sched_stats(stats: Dict[str, object], output) -> None:
+    """Render a scheduler stats snapshot."""
     print(f"scheduler: {stats['workers']} worker(s), "
           f"admitted={stats['admitted']}, completed={stats['completed']}, "
           f"shed={stats['shed']}, expired={stats['expired']}, "
@@ -321,7 +314,6 @@ def run_batch(args: argparse.Namespace, query: str, output) -> int:
                           enable_prepared_cache=not args.no_prepared,
                           enable_model_cache=not args.no_model_cache,
                           enable_vectorized_execution=not args.no_vectorized,
-                          enable_scheduler=not args.no_scheduler,
                           service_max_workers=max(1, args.jobs),
                           simulate_model_latency=max(0.0, args.simulate_latency),
                           gateway_batch_window_s=args.batch_window,
@@ -496,8 +488,7 @@ def run(args: argparse.Namespace, output=None) -> int:
                     or args.trace or args.trace_out is not None
                     or args.metrics or args.slow_query_ms is not None
                     or args.tenant is not None or args.priority is not None
-                    or args.deadline_ms is not None or args.sched_stats
-                    or args.no_scheduler)
+                    or args.deadline_ms is not None or args.sched_stats)
     if service_mode:
         if args.interactive:
             print("error: --interactive cannot be combined with service mode "

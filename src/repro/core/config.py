@@ -146,16 +146,11 @@ class KathDBConfig:
     # SlowQueryLog ring (surfaced by service.describe() and --slow-query-ms)
     # with their slowest operator span pinned.
     slow_query_ms: Optional[float] = None
-    # Admission scheduler (src/repro/sched/): multi-tenant fair-share queues
-    # over the service worker pool.  Requests carry tenant/priority/deadline
-    # (QueryRequest fields); per-tenant queues inside each priority class are
-    # drained by deficit round-robin, classes hold concurrency reservations,
-    # full queues shed with a structured rejection, and lapsed deadlines
-    # cancel before dispatch.  Off = the legacy flat thread pool (shards in a
-    # ShardedService run with this off — the coordinator schedules once).
-    enable_scheduler: bool = True
-    # Per-tenant, per-class bounded queue depth; submissions beyond it shed
-    # with reason "backpressure" instead of blocking.
+    # Admission scheduler (src/repro/sched/), the only admission path: per-
+    # tenant fair-share queues inside priority classes, drained by deficit
+    # round-robin over the service worker pool.  Per-tenant, per-class
+    # bounded queue depth; submissions beyond it shed with reason
+    # "backpressure" instead of blocking.
     sched_queue_limit: int = 64
     # Worker-slot reservations per priority class ({"interactive": 2, ...}).
     # Empty = auto split: interactive half, batch a quarter, background the

@@ -1,8 +1,8 @@
 """Multi-tenant fair-share admission scheduler.
 
-Replaces the service's flat thread pool: every admitted request lands on a
-bounded per-tenant queue inside one of three priority classes, and a small
-worker pool drains the queues under two policies layered together:
+The one admission path of every KathDB service: each admitted request lands
+on a bounded per-tenant queue inside one of three priority classes, and a
+small worker pool drains the queues under two policies layered together:
 
 * **Class reservations** — each class (``interactive``/``batch``/
   ``background``) reserves a slice of the worker pool.  A class may borrow
@@ -18,8 +18,10 @@ worker pool drains the queues under two policies layered together:
 Backpressure is structured, never blocking: a full tenant queue sheds the
 request with :class:`~repro.errors.SchedulerRejection` at submit time, and a
 lapsed deadline resolves the request's future with a shed result *before*
-dispatch (no worker is spent on dead work).  All instrumentation is keyed
-off the shared :class:`~repro.obs.metrics.MetricsRegistry`.
+dispatch (no worker is spent on dead work).  Worker threads start on
+demand, one per running or queued task up to ``workers``.  All
+instrumentation is keyed off the shared
+:class:`~repro.obs.metrics.MetricsRegistry`.
 """
 
 from __future__ import annotations
@@ -207,11 +209,12 @@ class FairShareScheduler:
                                fn=lambda b=board: float(b.depth))
         self.metrics.gauge(f"{name}.running", fn=lambda: float(self._running_total))
 
-        with self._cond:
-            self._spawn_workers_locked(workers)
-
     # -- worker pool -------------------------------------------------------
-    def _spawn_workers_locked(self, target: int) -> None:
+    def _grow_locked(self) -> None:
+        """Start workers on demand, the way ``ThreadPoolExecutor`` does: one
+        per running or queued task, up to ``workers``."""
+        queued = sum(board.depth for board in self.boards.values())
+        target = min(self.workers, self._running_total + queued)
         while len(self._threads) < target:
             thread = threading.Thread(
                 target=self._worker_loop,
@@ -220,7 +223,8 @@ class FairShareScheduler:
             thread.start()
 
     def ensure_workers(self, target: int) -> None:
-        """Grow the pool to ``target`` workers (never shrinks).
+        """Raise the worker cap to ``target`` (never shrinks); workers still
+        start on demand.
 
         Reservations keep their configured values — extra workers are pure
         borrowable capacity, so class guarantees still hold.
@@ -229,7 +233,7 @@ class FairShareScheduler:
             if self._closed or target <= self.workers:
                 return
             self.workers = target
-            self._spawn_workers_locked(target)
+            self._grow_locked()
             self._cond.notify_all()
 
     def in_worker(self) -> bool:
@@ -270,6 +274,7 @@ class FairShareScheduler:
                     "backpressure", tenant, sched_class, len(queue.items))
             board.push(task, weight)
             self._admitted.inc()
+            self._grow_locked()
             self._cond.notify()
         return task.future
 

@@ -31,36 +31,43 @@ Two placement modes cover the two workload shapes:
   mode: throughput scales with shards because distinct requests spread
   across the ring while each shard's cache working set stays small.
 
+Both the coordinator and every shard are
+:class:`~repro.api.frontend.RequestFrontend` instances: the coordinator's
+scheduler admits each request, and each shard's scheduler admits the shard
+request it receives.  A request's deadline crosses the scatter — each
+shard request carries what is left of the coordinator's — so a lapsed
+deadline cancels shard work at the next operator or gateway boundary.
+
 Failure contract: a shard raising mid-query never hangs the gather and
 never leaks partial rows — every sibling future is drained, the merged
 :class:`~repro.api.request.QueryResponse` carries ``ok=False`` with a
-structured ``"shard {i}: ..."`` error and ``result=None``, and the
-surviving shards remain fully usable for the next request.
+structured ``"shard {i}: ..."`` error, the failing shard's ``shed_reason``
+and ``result=None``, and the surviving shards remain fully usable for the
+next request.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
-import itertools
 import threading
 import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.api.request import QueryOptions, QueryRequest, QueryResponse
+from repro.api.frontend import RequestFrontend
+from repro.api.request import QueryRequest, QueryResponse
 from repro.api.service import KathDBService
 from repro.core.config import KathDBConfig
 from repro.data.mmqa import MovieCorpus
 from repro.datamodel.views import PopulationReport
-from repro.errors import KathDBError, SchedulerRejection
+from repro.errors import KathDBError
 from repro.executor.result import QueryResult
 from repro.gateway.fingerprint import request_key
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, attach, span
 from repro.relational.table import Table
-from repro.sched.cancel import CancelToken
-from repro.sched.scheduler import FairShareScheduler, ScheduledTask
+from repro.sched.cancel import current_cancel_token
 from repro.sharding.ring import HashRing
 
 PLACEMENTS = ("partition", "replicate")
@@ -101,7 +108,7 @@ def split_corpus(corpus: MovieCorpus, shards: int) -> List[MovieCorpus]:
     return slices
 
 
-class ShardedService:
+class ShardedService(RequestFrontend):
     """N shared-nothing KathDB engines behind the KathDBService API."""
 
     def __init__(self, config: Optional[KathDBConfig] = None, shards: int = 2,
@@ -111,14 +118,17 @@ class ShardedService:
         if placement not in PLACEMENTS:
             raise KathDBError(f"placement must be one of {PLACEMENTS}, "
                               f"got {placement!r}")
-        self.config = config or KathDBConfig()
+        config = config or KathDBConfig()
         self.placement = placement
         self.num_shards = shards
         # Coordinator-level observability: the shards each keep their own
         # registry/tracer (shared-nothing); this registry carries the
-        # scatter/gather spans plus per-shard gauges and routing counters.
-        self.metrics = MetricsRegistry()
-        self.tracer = Tracer(enabled=self.config.enable_tracing,
+        # scatter/gather spans, the coordinator scheduler's counters, and
+        # per-shard gauges and routing counters.  One coordinator worker
+        # per shard: a routed request is one-shard work, and a partition
+        # scatter fans out through the separate shard pool.
+        super().__init__(config, MetricsRegistry(), shards)
+        self.tracer = Tracer(enabled=config.enable_tracing,
                              metrics=self.metrics)
         self.shards: List[KathDBService] = [
             KathDBService(self._shard_config(index)) for index in range(shards)]
@@ -127,21 +137,6 @@ class ShardedService:
             max_workers=shards, thread_name_prefix="kathdb-shard")
         self._closed = False
         self._lock = threading.Lock()
-        self._request_ids = itertools.count(1)
-        # The coordinator schedules once; shards run with their schedulers
-        # disabled (see _shard_config) and stay dumb executors.  One worker
-        # per shard: replicate-mode routing is one-shard work, and partition
-        # scatters fan out through the separate shard pool anyway.
-        self.scheduler: Optional[FairShareScheduler] = (
-            FairShareScheduler(
-                workers=shards,
-                queue_limit=self.config.sched_queue_limit,
-                reservations=self.config.sched_class_reservations or None,
-                tenant_weights=self.config.sched_tenant_weights or None,
-                metrics=self.metrics)
-            if self.config.enable_scheduler else None)
-        if self.scheduler is not None:
-            self.metrics.register_view("sched", self.scheduler.stats)
         for index, shard in enumerate(self.shards):
             self.metrics.gauge(f"shard.{index}.catalog_tables",
                                fn=lambda s=shard: float(len(s.catalog)))
@@ -159,10 +154,7 @@ class ShardedService:
         corrupt it), so every configured path gets a per-shard suffix.
         """
         config = self.config
-        # Shards stay dumb: admission scheduling happens exactly once, at
-        # the coordinator — a second per-shard scheduler would double-queue
-        # every request.
-        replacements: Dict[str, Any] = {"enable_scheduler": False}
+        replacements: Dict[str, Any] = {}
         directory_backends = {"gateway_cache_path": config.gateway_cache_backend,
                               "skill_store_path": config.skill_store_backend}
         for field in ("gateway_cache_path", "skill_store_path",
@@ -264,116 +256,26 @@ class ShardedService:
         return offsets
 
     # -- querying -----------------------------------------------------------------
-    def query(self, request: Union[str, QueryRequest],
-              user: Optional[Any] = None,
-              options: Optional[QueryOptions] = None) -> QueryResponse:
-        """Answer one request: routed (replicate) or scatter-gathered."""
-        return self._schedule(self._coerce(request, user, options)).result()
+    def _execute(self, request: QueryRequest, session_name: str,
+                 tenant: str) -> QueryResponse:
+        """Answer one admitted request: routed (replicate) or scatter-gathered."""
+        if self.placement == "replicate":
+            return self._route(request)
+        return self._scatter_query(request)
 
-    def submit(self, request: Union[str, QueryRequest],
-               user: Optional[Any] = None,
-               options: Optional[QueryOptions] = None
-               ) -> "concurrent.futures.Future[QueryResponse]":
-        """Admit one request to the coordinator scheduler; returns a future.
+    @staticmethod
+    def _with_deadline(request: QueryRequest) -> QueryRequest:
+        """``request`` carrying what is left of the coordinator's deadline.
 
-        Mirrors :meth:`KathDBService.submit`: the future always resolves to
-        a response — shed requests yield ``ok=False`` with ``shed_reason``.
+        The coordinator's cancel token lives in a context variable that the
+        shard threads never see; re-stating it as the shard request's
+        ``deadline_ms`` lets each shard scheduler cancel its own work.
         """
-        return self._schedule(self._coerce(request, user, options))
-
-    def query_batch(self, requests: Sequence[Union[str, QueryRequest]],
-                    user: Optional[Any] = None,
-                    options: Optional[QueryOptions] = None) -> List[QueryResponse]:
-        """Answer many requests.
-
-        Replicate mode fans independent requests across their home shards
-        concurrently through the coordinator scheduler (this is where
-        routed sharding earns its throughput); partition mode runs them
-        serially — each query already saturates every shard, and nesting
-        scatters inside the shard pool would deadlock it.
-        """
-        coerced = [self._coerce(r, user, options) for r in requests]
-        if self.placement != "replicate" or len(coerced) <= 1:
-            return [self.query(c) for c in coerced]
-        if self.scheduler is None:
-            with concurrent.futures.ThreadPoolExecutor(
-                    max_workers=min(self.num_shards, len(coerced)),
-                    thread_name_prefix="kathdb-route") as pool:
-                return list(pool.map(self._route, coerced))
-        # A counting gate caps this batch's in-flight share at the shard
-        # count (what the private route pool used to provide) so a long
-        # single-tenant batch never overflows its own bounded queue.
-        gate = threading.Semaphore(min(self.num_shards, len(coerced)))
-        futures: List["concurrent.futures.Future[QueryResponse]"] = []
-        for request in coerced:
-            gate.acquire()
-            future = self._schedule(request)
-            future.add_done_callback(lambda _f: gate.release())
-            futures.append(future)
-        return [future.result() for future in futures]
-
-    def _schedule(self, request: QueryRequest
-                  ) -> "concurrent.futures.Future[QueryResponse]":
-        """Admit one request to the coordinator's fair-share scheduler.
-
-        The deadline is enforced coordinator-side (shed before dispatch);
-        shards execute without their own schedulers.  Partition-mode
-        scatters run on the separate shard pool, so scheduling them here
-        cannot deadlock the scheduler's own workers.
-        """
-        execute = (self._route if self.placement == "replicate"
-                   else self._scatter_query)
-        tenant, sched_class, deadline_ms = request.sched_params(
-            self.config.sched_default_priority)
-        tenant = tenant or f"req{next(self._request_ids)}"
-        if self.scheduler is None:
-            future: "concurrent.futures.Future[QueryResponse]" = \
-                concurrent.futures.Future()
-            future.set_result(execute(request))
-            return future
-        token = CancelToken.with_deadline_ms(deadline_ms)
-
-        def runner(task: ScheduledTask) -> QueryResponse:
-            response = execute(request)
-            response.queue_ms = task.queue_ms
-            response.sched_class = task.sched_class
-            return response
-
-        def shed(task: ScheduledTask, reason: str) -> QueryResponse:
-            return self._shed_response(request, tenant, task.sched_class,
-                                       reason, queue_ms=task.queue_ms)
-
-        if self.scheduler.in_worker():
-            future = concurrent.futures.Future()
-            future.set_result(self.scheduler.run_inline(
-                runner, tenant, sched_class, token=token))
-            return future
-        try:
-            return self.scheduler.submit(runner, tenant, sched_class,
-                                         token=token, shed_result=shed)
-        except SchedulerRejection as rejection:
-            future = concurrent.futures.Future()
-            future.set_result(self._shed_response(
-                request, tenant, sched_class, rejection.reason))
-            return future
-
-    def _shed_response(self, request: QueryRequest, tenant: str,
-                       sched_class: str, reason: str,
-                       queue_ms: float = 0.0) -> QueryResponse:
-        stats = (self.scheduler.tenant_snapshot(tenant)
-                 if self.scheduler is not None else None)
-        return QueryResponse(
-            request=request, result=None, session_id="coordinator", ok=False,
-            error=f"request shed by scheduler ({reason}) for tenant {tenant!r}",
-            shed_reason=reason, sched_class=sched_class, queue_ms=queue_ms,
-            scheduler_stats=stats)
-
-    def _coerce(self, request: Union[str, QueryRequest], user: Optional[Any],
-                options: Optional[QueryOptions]) -> QueryRequest:
-        if isinstance(request, str):
-            return QueryRequest(nl_query=request, user=user,
-                                options=options or QueryOptions())
-        return request
+        token = current_cancel_token()
+        remaining = token.remaining_s() if token is not None else None
+        if remaining is None:
+            return request
+        return dataclasses.replace(request, deadline_ms=remaining * 1000.0)
 
     def _fingerprint(self, request: QueryRequest) -> Tuple[int, int]:
         """The routing fingerprint: stable across processes and restarts."""
@@ -384,9 +286,10 @@ class ShardedService:
         """Send one request to its consistent-hash home shard."""
         shard_index = self.ring.node_for(self._fingerprint(request))
         self.metrics.counter(f"shard.{shard_index}.routed").inc()
+        shard_request = self._with_deadline(request)
         with self.tracer.trace("query.routed", shard=shard_index):
             with span("route", kind="route", shard=shard_index):
-                return self.shards[shard_index].query(request)
+                return self.shards[shard_index].query(shard_request)
 
     def _scatter_query(self, request: QueryRequest) -> QueryResponse:
         """Fan one request to every shard; merge or fail structurally.
@@ -396,13 +299,15 @@ class ShardedService:
         mid-flight (they own locks and pool threads the next query needs).
         """
         start_pc = time.perf_counter()
+        # Stateful user agents must not be shared across shards.
+        shard_requests = [self._with_deadline(self._isolate_user(request))
+                          for _ in self.shards]
         with self.tracer.trace("query.scatter", shards=self.num_shards) as trace:
             def run(index: int) -> QueryResponse:
                 with attach(trace):
                     with span(f"shard-{index}.query", kind="scatter",
                               shard=index):
-                        shard_request = self._isolated(request)
-                        return self.shards[index].query(shard_request)
+                        return self.shards[index].query(shard_requests[index])
 
             futures = [self._pool.submit(run, index)
                        for index in range(self.num_shards)]
@@ -415,15 +320,6 @@ class ShardedService:
                         responses.append(error)
         return self._merge_responses(request, responses, start_pc)
 
-    def _isolated(self, request: QueryRequest) -> QueryRequest:
-        """A per-shard copy: stateful user agents must not be shared."""
-        if request.user is None:
-            return request
-        cloned = request.user.clone()
-        if cloned is request.user:
-            return request
-        return dataclasses.replace(request, user=cloned)
-
     def _merge_responses(self, request: QueryRequest,
                          responses: Sequence[Union[QueryResponse, BaseException]],
                          start_pc: float) -> QueryResponse:
@@ -435,12 +331,15 @@ class ShardedService:
         for index, response in enumerate(responses):
             if isinstance(response, BaseException):
                 error = f"shard {index}: {type(response).__name__}: {response}"
+                shed_reason = None
             elif not response.ok:
                 error = f"shard {index}: {response.error}"
+                shed_reason = response.shed_reason
             else:
                 continue
             return QueryResponse(request=request, result=None,
                                  session_id="scatter", ok=False, error=error,
+                                 shed_reason=shed_reason,
                                  prepare_tokens=prepare, execute_tokens=execute,
                                  latency_ms=latency_ms)
         tables = [r.result.final_table for r in responses  # type: ignore[union-attr]
@@ -527,12 +426,6 @@ class ShardedService:
                     merged[key] = merged.get(key, 0) + value
         return merged
 
-    def scheduler_stats(self) -> Optional[Dict[str, Any]]:
-        """Coordinator fair-share scheduler state (None when disabled)."""
-        if self.scheduler is None:
-            return None
-        return self.metrics.view("sched")
-
     def shard_stats(self) -> List[Dict[str, Any]]:
         """Per-shard snapshot: routing counters, catalog size, cache size."""
         snapshot = []
@@ -549,9 +442,8 @@ class ShardedService:
 
     def describe(self) -> str:
         lines = [f"ShardedService: {self.num_shards} shards "
-                 f"({self.placement}), {self.total_tokens()} tokens total"]
-        if self.scheduler is not None:
-            lines.append(self.scheduler.describe())
+                 f"({self.placement}), {self.total_tokens()} tokens total",
+                 self.scheduler.describe()]
         for stats in self.shard_stats():
             lines.append(f"  shard {stats['shard']}: "
                          f"{stats['catalog_tables']} tables, "
@@ -565,8 +457,7 @@ class ShardedService:
             if self._closed:
                 return
             self._closed = True
-        if self.scheduler is not None:
-            self.scheduler.shutdown(wait=True)
+        self.scheduler.shutdown(wait=True)
         self._pool.shutdown(wait=True)
         for shard in self.shards:
             shard.shutdown()

@@ -441,22 +441,6 @@ class TestRequestApi:
         finally:
             svc.shutdown()
 
-    def test_scheduler_off_keeps_legacy_path(self, corpus):
-        baseline = fresh_service(corpus)
-        flat = fresh_service(corpus, enable_scheduler=False)
-        try:
-            expected = rows_of(baseline.query(RECENT_QUERY))
-            assert flat.scheduler is None
-            assert flat.scheduler_stats() is None
-            response = flat.query(RECENT_QUERY)
-            assert rows_of(response) == expected
-            # No scheduler: the scheduling metadata stays at its defaults.
-            assert response.sched_class is None
-            assert response.scheduler_stats is None
-        finally:
-            baseline.shutdown()
-            flat.shutdown()
-
     def test_describe_and_stats_surface_scheduler(self, corpus):
         svc = fresh_service(corpus)
         try:
@@ -588,5 +572,26 @@ class TestBatchThroughScheduler:
                 assert response.sched_class == "interactive"
             stats = svc.scheduler_stats()
             assert stats["completed"] >= 6
+        finally:
+            svc.shutdown()
+
+    def test_workers_start_on_demand(self, corpus):
+        """No worker thread until work arrives; one per in-flight request
+        up to the batch's ``jobs``."""
+        before = set(threading.enumerate())
+
+        def new_sched_threads():
+            return [t for t in threading.enumerate()
+                    if t.name.startswith("kathdb-sched-")
+                    and t not in before]
+
+        svc = fresh_service(corpus, service_max_workers=4)
+        try:
+            assert new_sched_threads() == []
+            assert svc.query(RECENT_QUERY).ok
+            assert len(new_sched_threads()) == 1
+            responses = svc.query_batch([RECENT_QUERY] * 6, jobs=4)
+            assert all(r.ok for r in responses)
+            assert 1 <= len(new_sched_threads()) <= 4
         finally:
             svc.shutdown()

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+import threading
+import time
+
 import pytest
 
 from repro.api.request import QueryRequest
@@ -24,6 +28,13 @@ def table_digest(table):
     """Rows minus the per-process lineage lid; blobs compare by URI."""
     return [{k: getattr(v, "uri", v) for k, v in dict(row).items()
              if k != "lid"} for row in table]
+
+
+def wait_until(predicate, timeout_s: float = 5.0) -> None:
+    deadline = time.perf_counter() + timeout_s
+    while not predicate():
+        assert time.perf_counter() < deadline, "condition never became true"
+        time.sleep(0.005)
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +194,92 @@ class TestScatterQueries:
                     for _ in range(2)]
         responses = sharded.query_batch(requests)
         assert [r.ok for r in responses] == [True, True]
+
+
+    def test_partition_batch_concurrent_matches_serial(self, sharded):
+        queries = [self.QUERY, "Which films have a boring poster?"] * 2
+        serial = sharded.query_batch(
+            [QueryRequest(nl_query=q, user=SilentUser()) for q in queries],
+            jobs=1)
+        concurrent = sharded.query_batch(
+            [QueryRequest(nl_query=q, user=SilentUser()) for q in queries],
+            jobs=2)
+        assert all(r.ok for r in serial + concurrent)
+        assert [table_digest(r.result.final_table) for r in concurrent] == \
+            [table_digest(r.result.final_table) for r in serial]
+
+
+class TestAdmission:
+    BORING = "Which films have a boring poster?"
+
+    def test_deadline_crosses_the_scatter(self, corpus, reference):
+        """A coordinator deadline that lapses mid-query cancels the shards'
+        work; nothing is left running and the next query is unharmed."""
+        # A cold query under simulated model latency takes a few hundred ms.
+        service = ShardedService(
+            KathDBConfig(seed=SEED, simulate_model_latency=1.0), shards=2)
+        service.load_corpus(corpus)
+        try:
+            doomed = service.query(QueryRequest(
+                nl_query=self.BORING, user=SilentUser(), deadline_ms=50.0))
+            assert not doomed.ok
+            assert doomed.shed_reason == "deadline"
+            assert doomed.result is None
+            # Admitted by the coordinator, cancelled inside a shard.
+            assert doomed.error.startswith("shard ")
+            for shard in service.shards:
+                wait_until(lambda s=shard: s.scheduler_stats()["running"] == 0)
+            again = service.query(self.BORING, user=SilentUser())
+            expected = reference.query(self.BORING, user=SilentUser())
+            assert table_digest(again.result.final_table) == \
+                table_digest(expected.result.final_table)
+        finally:
+            service.shutdown()
+
+    @staticmethod
+    def _backpressure_shed(service, workers):
+        """Hold every worker, fill the hog's one queue slot, shed the next."""
+        gate = threading.Event()
+        holds = []
+        for running in range(1, workers + 1):
+            holds.append(service.scheduler.submit(lambda task: gate.wait(10.0),
+                                                  tenant="hog"))
+            wait_until(lambda: service.scheduler_stats()["running"] == running)
+        queued = service.submit(QueryRequest(nl_query=TestScatterQueries.QUERY,
+                                             user=SilentUser(), tenant_id="hog"))
+        shed = service.submit(QueryRequest(nl_query=TestScatterQueries.QUERY,
+                                           user=SilentUser(), tenant_id="hog"))
+        shed = shed.result(timeout=10)
+        gate.set()
+        for hold in holds:
+            hold.result(timeout=10)
+        assert queued.result(timeout=120).ok
+        return shed
+
+    def test_coordinator_shed_matches_service_shed(self, corpus):
+        sharded = ShardedService(quiet_config(sched_queue_limit=1), shards=2)
+        single = KathDBService(quiet_config(sched_queue_limit=1),
+                               max_workers=1)
+        sharded.load_corpus(corpus)
+        single.load_corpus(corpus)
+        try:
+            ours = self._backpressure_shed(sharded, workers=2)
+            theirs = self._backpressure_shed(single, workers=1)
+        finally:
+            sharded.shutdown()
+            single.shutdown()
+
+        def populated(response):
+            return {field.name for field in dataclasses.fields(response)
+                    if getattr(response, field.name) is not None}
+
+        for response in (ours, theirs):
+            assert not response.ok
+            assert response.shed_reason == "backpressure"
+            assert response.sched_class == "interactive"
+            assert response.scheduler_stats["tenant"] == "hog"
+        assert populated(ours) == populated(theirs)
+        assert set(ours.scheduler_stats) == set(theirs.scheduler_stats)
 
 
 # -- lifecycle -------------------------------------------------------------------------
