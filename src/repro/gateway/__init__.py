@@ -2,8 +2,7 @@
 
 See :mod:`repro.gateway.gateway` for the tier stack,
 :mod:`repro.gateway.proxy` for how model suites are routed through it, and
-:mod:`repro.gateway.vectorized` for the single-session batch client behind
-vectorized operator execution.
+:mod:`repro.gateway.vectorized` for the funnel every call goes through.
 """
 
 from repro.gateway.admission import AdmissionController
@@ -20,7 +19,7 @@ from repro.gateway.gateway import (
 )
 from repro.gateway.proxy import is_routed, route_suite
 from repro.gateway.semantic import SEMANTIC_METHODS, SEMANTIC_MODES, SemanticNearCache
-from repro.gateway.vectorized import GatewayBatchClient, batch_route
+from repro.gateway.vectorized import GatewayBatchClient
 
 __all__ = [
     "AdmissionController",
@@ -40,7 +39,6 @@ __all__ = [
     "SemanticNearCache",
     "SessionCounters",
     "SessionGatewayClient",
-    "batch_route",
     "canonicalize",
     "is_routed",
     "request_key",

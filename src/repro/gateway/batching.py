@@ -1,23 +1,30 @@
-"""Micro-batching for the batchable model kinds.
+"""The one executor for batched gateway misses, and its collection window.
 
 Embeddings, entity extraction, pixel detection, and OCR are the model kinds
 a real serving stack batches: they are cheap per item, high-volume, and
-their backends accept many inputs per invocation.  The :class:`MicroBatcher`
-groups gateway misses of one kind that arrive within a small window and
-executes them as **one batched invocation** through
-:func:`repro.models.batching.plan_batch`: a single admission slot is taken
-for the whole batch, duplicate members share one computation, the batch pays
-one shared prompt/setup overhead plus per-member marginal cost (sub-linear
-token growth), and each member's session meter is charged its fair share as
-a :class:`~repro.models.cost.BatchedModelCall`.
+their backends accept many inputs per invocation.  Every batched miss the
+gateway executes runs through :meth:`MicroBatcher.execute`: one admission
+slot for the whole chunk, a chunk of one as a plain metered call, and a
+larger chunk as **one batched invocation** through
+:func:`repro.models.batching.plan_batch` — duplicate members share one
+computation, the batch pays one shared prompt/setup overhead plus
+per-member marginal content (sub-linear token growth), and each cost meter
+in the chunk is charged its members' summed fair shares as one
+:class:`~repro.models.cost.BatchedModelCall`.  A vector from one session
+therefore lands as one record covering every member, while a window shared
+by several sessions lands as one record per session.
 
-The batch window only sleeps when the leader is *alone* — when followers are
-already queued there is a batch to run, and waiting a further window would
-add pure latency.  Each call therefore waits at most one window beyond its
-execution time.  With ``window_s == 0`` the batcher is a pure pass-through
-that still opportunistically batches whatever queued *while the leader held
-the slot* — zero added latency, which is the right default when model
-latency is not being simulated.
+Two callers feed the executor.  The gateway funnel
+(:class:`~repro.gateway.vectorized.GatewayBatchClient`) hands it each chunk
+of a multi-call vector directly.  A one-call miss goes through
+:meth:`MicroBatcher.submit`, whose window groups it with same-kind misses
+from other sessions.  The window only sleeps when the leader is *alone* —
+when followers are already queued there is a batch to run, and waiting a
+further window would add pure latency — so each call waits at most one
+window beyond its execution time.  With ``window_s == 0`` the batcher
+still opportunistically batches whatever queued *while the leader held the
+slot* — zero added latency, the right default when model latency is not
+being simulated.
 """
 
 from __future__ import annotations
@@ -26,15 +33,16 @@ import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.gateway.admission import AdmissionController
-from repro.models.batching import BatchMember, metered_call, plan_batch
-
-
-#: What a member's future resolves to: (result, tokens charged to the
-#: member's session, tokens the call would have cost serially).
-BatchResult = Tuple[Any, int, int]
+from repro.models.batching import (
+    BatchMember,
+    BatchPlan,
+    MemberOutcome,
+    metered_call,
+    plan_batch,
+)
 
 
 @dataclass
@@ -42,7 +50,7 @@ class _Pending:
     """One queued call: the member description and the future its caller awaits."""
 
     member: BatchMember
-    future: "Future[BatchResult]"
+    future: "Future[MemberOutcome]"
 
 
 @dataclass
@@ -76,8 +84,46 @@ class BatchStats:
                             for kind, stats in sorted(self.by_kind.items())}}
 
 
+def metered_outcome(member: BatchMember) -> MemberOutcome:
+    """Run one member serially; its model charges its own meter.
+
+    The outcome carries the metered cost as both the serial and the charged
+    price (only totals are tracked, on the prompt side).  A member error is
+    returned in the outcome, as :func:`~repro.models.batching.plan_batch`
+    does for batched members.
+    """
+    outcome = MemberOutcome()
+    try:
+        outcome.result, cost = metered_call(member.model, member.method,
+                                            member.args, member.kwargs)
+    except Exception as error:  # noqa: BLE001 - delivered to the caller
+        outcome.error = error
+        return outcome
+    outcome.serial_prompt = outcome.charge_prompt = cost
+    return outcome
+
+
+def _record_shares(members: Sequence[BatchMember], plan: BatchPlan) -> None:
+    """Charge each cost meter in the chunk its members' summed shares."""
+    by_meter: Dict[int, List[Tuple[BatchMember, MemberOutcome]]] = {}
+    for member, outcome in zip(members, plan.outcomes):
+        meter = getattr(member.model, "cost_meter", None)
+        if outcome.error is None and meter is not None:
+            by_meter.setdefault(id(meter), []).append((member, outcome))
+    for group in by_meter.values():
+        first = group[0][0]
+        first.model.cost_meter.record_batched(
+            getattr(first.model, "name", type(first.model).__name__),
+            first.purpose,
+            sum(outcome.charge_prompt for _, outcome in group),
+            sum(outcome.charge_completion for _, outcome in group),
+            batch_size=plan.size, members=len(group),
+            serial_tokens=sum(outcome.serial_tokens for _, outcome in group),
+            latency_s=sum(outcome.latency_share_s for _, outcome in group))
+
+
 class MicroBatcher:
-    """Groups same-kind calls arriving within ``window_s`` into one invocation."""
+    """Executes chunks of misses, grouping one-call misses within ``window_s``."""
 
     def __init__(self, admission: AdmissionController,
                  window_s: float = 0.0, max_batch: int = 32):
@@ -93,13 +139,41 @@ class MicroBatcher:
         # on this instead of wall clocks.
         self.window_sleeps = 0
 
-    def submit(self, kind: str, member: BatchMember) -> "Future[BatchResult]":
+    def execute(self, kind: str, members: Sequence[BatchMember]
+                ) -> List[MemberOutcome]:
+        """Run one chunk of ``kind`` misses under one admission slot.
+
+        One member runs as a metered serial call; two or more run as one
+        batched invocation whose shares are recorded per cost meter.  Member
+        errors come back in their outcomes; only an infrastructure failure
+        (e.g. an interrupt while waiting for the slot) raises.
+        """
+        saved = 0
+        with self._admission.slot():
+            if len(members) == 1:
+                outcomes = [metered_outcome(members[0])]
+            else:
+                plan = plan_batch(members)
+                _record_shares(members, plan)
+                outcomes, saved = plan.outcomes, plan.tokens_saved
+        size = len(members)
+        with self._lock:
+            per_kind = self.stats.by_kind.setdefault(kind, KindBatchStats())
+            for stats in (self.stats, per_kind):
+                stats.batches += 1
+                stats.largest_batch = max(stats.largest_batch, size)
+                if size > 1:
+                    stats.batched_calls += size
+            self.stats.token_savings += saved
+        return outcomes
+
+    def submit(self, kind: str, member: BatchMember) -> "Future[MemberOutcome]":
         """Enqueue one call of ``kind``; leads the batch if nobody else is.
 
-        The returned future resolves to ``(result, charged, serial)`` token
-        accounting included.  The leader runs batches *inline* on the calling
-        thread until the queue drains, so no background threads are involved
-        and a crash in one member only fails that member's future.
+        The returned future resolves to the member's outcome, token shares
+        included.  The leader runs batches *inline* on the calling thread
+        until the queue drains, so no background threads are involved and a
+        crash in one member only fails that member's outcome.
         """
         pending = _Pending(member=member, future=Future())
         with self._lock:
@@ -110,9 +184,7 @@ class MicroBatcher:
         if lead:
             try:
                 # Sleep the collection window **once per leadership**, before
-                # the first drain (the satellite bugfix: the old per-drain
-                # sleep added a full extra window whenever followers were
-                # already queued).  A new leader always starts alone —
+                # the first drain.  A new leader always starts alone —
                 # leadership is only released on an empty queue — so this is
                 # exactly the accumulation window, and every call waits at
                 # most one window beyond its execution.  Inside the try: an
@@ -134,8 +206,8 @@ class MicroBatcher:
                             break
             except BaseException as error:
                 # _drain only raises on infrastructure failure (member
-                # exceptions are delivered through their futures); don't
-                # strand queued followers without a leader.
+                # exceptions are delivered in their outcomes); don't strand
+                # queued followers without a leader.
                 with self._lock:
                     stranded = self._queues.pop(kind, [])
                     self._leaders[kind] = False
@@ -145,99 +217,24 @@ class MicroBatcher:
                 raise
         return pending.future
 
-    def note_external_batch(self, kind: str, size: int,
-                            token_savings: int) -> None:
-        """Fold a batch executed outside the window path into the stats.
-
-        The vectorized single-session batch client
-        (:class:`~repro.gateway.vectorized.GatewayBatchClient`) executes its
-        own chunks but reports them here, so ``BatchStats`` is the one ledger
-        covering every batched invocation a gateway made — micro-batched or
-        vectorized.
-        """
-        with self._lock:
-            self.stats.batches += 1
-            self.stats.largest_batch = max(self.stats.largest_batch, size)
-            per_kind = self.stats.by_kind.setdefault(kind, KindBatchStats())
-            per_kind.batches += 1
-            per_kind.largest_batch = max(per_kind.largest_batch, size)
-            if size > 1:
-                self.stats.batched_calls += size
-                per_kind.batched_calls += size
-            self.stats.token_savings += max(0, int(token_savings))
-
     def _drain(self, kind: str) -> None:
-        """Run queued calls of one kind in admission-slot-sized batches."""
+        """Run queued calls of one kind through the executor, chunk by chunk."""
         while True:
             with self._lock:
                 queue = self._queues.get(kind, [])
                 chunk, self._queues[kind] = queue[:self.max_batch], queue[self.max_batch:]
             if not chunk:
                 return
-            with self._lock:
-                self.stats.batches += 1
-                self.stats.largest_batch = max(self.stats.largest_batch, len(chunk))
-                per_kind = self.stats.by_kind.setdefault(kind, KindBatchStats())
-                per_kind.batches += 1
-                per_kind.largest_batch = max(per_kind.largest_batch, len(chunk))
-                if len(chunk) > 1:
-                    self.stats.batched_calls += len(chunk)
-                    per_kind.batched_calls += len(chunk)
             try:
-                with self._admission.slot():
-                    if len(chunk) == 1:
-                        self._execute_single(chunk[0])
-                    else:
-                        self._execute_batch(chunk)
+                outcomes = self.execute(kind, [pending.member for pending in chunk])
             except BaseException as error:
                 # The chunk is already dequeued, so submit()'s stranded-
-                # follower sweep cannot see it: an infra failure here (e.g.
-                # KeyboardInterrupt while blocking on the admission
-                # semaphore) must fail the extracted members itself, or
-                # their callers hang forever on future.result().
+                # follower sweep cannot see it: an infra failure here must
+                # fail the extracted members itself, or their callers hang
+                # forever on future.result().
                 for waiting in chunk:
                     if not waiting.future.done():
                         waiting.future.set_exception(error)
                 raise
-
-    @staticmethod
-    def _execute_single(pending: _Pending) -> None:
-        """A chunk of one keeps exact serial semantics and accounting."""
-        member = pending.member
-        try:
-            result, cost = metered_call(member.model, member.method,
-                                        member.args, member.kwargs)
-            pending.future.set_result((result, cost, cost))
-        except BaseException as error:  # noqa: BLE001 - delivered to caller
-            pending.future.set_exception(error)
-
-    def _execute_batch(self, chunk: List[_Pending]) -> None:
-        """Run one true batched invocation and deliver per-member shares.
-
-        Each member's session meter is charged its fair share of the batch
-        price as a single :class:`~repro.models.cost.BatchedModelCall`; the
-        shares' synthetic latencies sum to **one** invocation's latency, so
-        simulated-latency runs see the batch as one model round trip.
-        """
-        plan = plan_batch([pending.member for pending in chunk])
-        total_saved = 0
-        for pending, outcome in zip(chunk, plan.outcomes):
-            if outcome.error is not None:
-                pending.future.set_exception(outcome.error)
-                continue
-            meter = getattr(pending.member.model, "cost_meter", None)
-            if meter is not None:
-                meter.record_batched(
-                    getattr(pending.member.model, "name",
-                            type(pending.member.model).__name__),
-                    pending.member.purpose,
-                    outcome.charge_prompt, outcome.charge_completion,
-                    batch_size=plan.size, members=1,
-                    serial_tokens=outcome.serial_tokens,
-                    latency_s=outcome.latency_share_s)
-            total_saved += outcome.tokens_saved
-            pending.future.set_result(
-                (outcome.result, outcome.charged_tokens, outcome.serial_tokens))
-        if total_saved:
-            with self._lock:
-                self.stats.token_savings += total_saved
+            for pending, outcome in zip(chunk, outcomes):
+                pending.future.set_result(outcome)

@@ -15,6 +15,10 @@ simulated model suite, cheapest first:
    batchable kinds in admission-slot-sized groups
    (:mod:`repro.gateway.admission`, :mod:`repro.gateway.batching`).
 
+The stack is written once, in the funnel
+:meth:`repro.gateway.vectorized.GatewayBatchClient.invoke`; a serial call
+(:meth:`ModelGateway.invoke`) is a one-call vector through it.
+
 Sessions talk to the gateway through a :class:`SessionGatewayClient`, which
 carries the session identity (for quota enforcement and per-session
 counters) and is what the model proxies in :mod:`repro.gateway.proxy` hold.
@@ -30,7 +34,6 @@ tallied as ``batch_tokens_saved``.
 
 from __future__ import annotations
 
-import copy
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -38,20 +41,14 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.gateway.admission import AdmissionController
 from repro.gateway.batching import MicroBatcher
-from repro.models.batching import BatchMember, metered_call
 from repro.gateway.cache import ExactResultCache
 from repro.gateway.coalesce import RequestCoalescer
-from repro.gateway.fingerprint import (
-    canonicalize,
-    contains_uri,
-    lexicon_fingerprint_of,
-    request_key_from_canonical,
-    semantic_group,
-)
-from repro.gateway.semantic import SemanticNearCache, term_signature
+# Re-exported: benchmarks/e2e re-binds every module's from-import of the
+# fingerprint functions when it installs its probes, and checks this one.
+from repro.gateway.fingerprint import canonicalize  # noqa: F401
+from repro.gateway.semantic import SemanticNearCache
+from repro.gateway.vectorized import GatewayBatchClient
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import span as obs_span
-from repro.sched.cancel import check_current_cancel
 
 
 @dataclass
@@ -95,9 +92,9 @@ class SessionCounters:
     # Tokens micro-batching discounted off this session's own misses (the
     # serial price minus the batched share it actually paid).
     batch_tokens_saved: int = 0
-    # Batched invocations this session issued itself through the vectorized
-    # batch client (one per executed chunk); micro-batch memberships formed
-    # by cross-session collisions are not counted here.
+    # Batched invocations this session issued itself: one per executed
+    # chunk of a multi-call vector.  One-call misses, which go through the
+    # micro-batch window, are not counted here.
     batch_calls: int = 0
     # Sizes of those batched invocations, in issue order.  Not part of
     # _KEYS (lists don't delta); the engine snapshots the length instead.
@@ -269,147 +266,22 @@ class ModelGateway:
                args: Tuple[Any, ...], kwargs: Dict[str, Any], *,
                batchable: bool = False,
                semantic_terms: Optional[Tuple[Any, Any]] = None) -> Any:
-        """Answer one model call through the tier stack.
+        """Answer one model call: a one-call vector through the funnel.
 
         ``semantic_terms`` is the (query_terms, candidate_terms) pair for
         predicate methods eligible for the near-match tier; None otherwise.
 
-        Each call records one ``model``-kind span on the *calling*
-        session's active trace (a no-op outside a trace), tagged with the
-        tier that answered it — exact-hit / semantic-hit /
-        coalesced-follower / batched-chunk / executed.  Because the span
-        is opened caller-side, shared work (a coalesced execution, a
-        micro-batch) shows up in every participating session's trace.
+        The funnel (:meth:`GatewayBatchClient.invoke`) records one
+        ``model``-kind span for the call on the *calling* session's active
+        trace, tagged with the tier that answered it — exact-hit /
+        semantic-hit / coalesced-follower / batched-chunk / executed — so
+        shared work (a coalesced execution, a micro-batch) shows up in every
+        participating session's trace.
         """
-        model_name = getattr(model, "name", type(model).__name__)
-        with obs_span(f"{model_name}.{method}", kind="model",
-                      model=model_name, method=method) as sp:
-            return self._serve(client, model, method, args, kwargs, sp,
-                               batchable=batchable,
-                               semantic_terms=semantic_terms)
-
-    def _serve(self, client: SessionGatewayClient, model: Any, method: str,
-               args: Tuple[Any, ...], kwargs: Dict[str, Any], sp: Any, *,
-               batchable: bool = False,
-               semantic_terms: Optional[Tuple[Any, Any]] = None) -> Any:
-        cfg = self.config
-        # A cancelled request (lapsed deadline) must stop before paying for
-        # another model call; cache lookups below are cheap enough to skip.
-        check_current_cancel()
-        lexicon_fp = lexicon_fingerprint_of(model)
-        model_name = getattr(model, "name", type(model).__name__)
-        # The purpose tag never reaches the model — it only labels the cost
-        # record — so it must not partition results: two operators issuing
-        # the byte-identical call under different node names share one
-        # execution.  (The executing leader's purpose is what lands in the
-        # ledger; hits and followers record nothing anyway.)
-        keyed_kwargs = {k: v for k, v in kwargs.items() if k != "purpose"}
-        canonical_args = canonicalize(args)
-        canonical_kwargs = canonicalize(keyed_kwargs)
-        key = request_key_from_canonical(model_name, method, canonical_args,
-                                         canonical_kwargs, lexicon_fp)
-
-        # Tier 1: exact cache.
-        if cfg.enable_cache:
-            entry = self.cache.get(key)
-            if entry is not None:
-                client.counters.hits += 1
-                client.counters.tokens_saved += entry.token_cost
-                self.note_event("hits", 1, entry.token_cost, client.session_id)
-                sp.tag(outcome="exact-hit", tokens_saved=entry.token_cost)
-                return entry.result
-
-        # Tier 2: semantic near-match (predicates only).
-        signature = None
-        signature_vector = None
-        signature_group = None
-        if cfg.enable_semantic and cfg.enable_cache and semantic_terms is not None:
-            # Non-purpose kwargs (e.g. match_fraction's threshold=) change
-            # the answer, so they partition the signature space; the purpose
-            # tag is pure accounting and must not — canonical_kwargs already
-            # excludes it.  The group's model name is the cache key's name
-            # (same fallback as the batch client), so the serial and
-            # vectorized funnels always agree on the request family.
-            signature_group = semantic_group(model_name, method,
-                                             canonical_kwargs, lexicon_fp)
-            signature = term_signature(*semantic_terms)
-            signature_vector = self.semantic.embed_signature(signature)
-            near, probes = self.semantic.search(signature_group,
-                                                signature_vector, signature)
-            self.note_event("semantic_probes", probes, 0, client.session_id)
-            if near is not None:
-                client.counters.semantic_hits += 1
-                client.counters.tokens_saved += near.token_cost
-                self.note_event("semantic_hits", 1, near.token_cost,
-                                client.session_id)
-                sp.tag(outcome="semantic-hit", tokens_saved=near.token_cost)
-                return near.result
-            # Below threshold: guaranteed fall-through to exact execution.
-
-        # Quota check before joining the in-flight table: an over-quota
-        # tenant must be refused here, not become a leader whose rejection
-        # would propagate to under-quota followers of the same request.
-        if not client.quota_exempt:
-            self.admission.precheck(client.tenant_id)
-
-        # Tier 3: coalesce onto an identical in-flight execution.
-        slot = None
-        if cfg.enable_coalescing:
-            leader, slot = self.coalescer.begin(key)
-            if not leader:
-                result, token_cost = self.coalescer.wait(slot)
-                client.counters.coalesced += 1
-                client.counters.tokens_saved += token_cost
-                self.note_event("coalesced", 1, token_cost, client.session_id)
-                sp.tag(outcome="coalesced-follower", tokens_saved=token_cost)
-                return copy.deepcopy(result)
-
-        # Tier 4: execute (admission-gated, possibly micro-batched).  The
-        # model charges its own cost meter — i.e. the calling session's;
-        # batched members are charged their fair share of the batch price.
-        try:
-            if cfg.enable_batching and batchable:
-                member = BatchMember(model=model, method=method, args=args,
-                                     kwargs=kwargs, key=key)
-                batch_kind = f"{getattr(model, 'name', type(model).__name__)}.{method}"
-                result, token_cost, serial_cost = \
-                    self.batcher.submit(batch_kind, member).result()
-                sp.tag(outcome="batched-chunk", tokens=token_cost)
-                if serial_cost > token_cost:
-                    client.counters.batch_tokens_saved += serial_cost - token_cost
-                    self.note_event("batch_saved", 0, serial_cost - token_cost,
-                                    client.session_id)
-                    sp.tag(batch_tokens_saved=serial_cost - token_cost)
-            else:
-                with self.admission.slot():
-                    result, token_cost = metered_call(model, method, args, kwargs)
-                sp.tag(outcome="executed", tokens=token_cost)
-        except BaseException as error:
-            if slot is not None:
-                self.coalescer.fail(slot, error)
-            raise
-
-        # Post-execution bookkeeping must never strand the in-flight slot:
-        # if e.g. cache.put's deep copy raises, followers (current and
-        # future — the key stays in the table until resolved) would block
-        # forever.  Publish the result no matter what.
-        try:
-            client.counters.misses += 1
-            client.counters.tokens_charged += token_cost
-            self.note_event("misses", 1, token_cost, client.session_id)
-            self.admission.charge(client.tenant_id, token_cost)
-            if cfg.enable_cache:
-                self.cache.note_miss()
-                self.cache.put(key, result, token_cost,
-                               volatile=contains_uri(canonical_args)
-                               or contains_uri(canonical_kwargs))
-            if signature_group is not None and signature_vector is not None:
-                self.semantic.put(signature_group, signature_vector, signature,
-                                  result, token_cost)
-        finally:
-            if slot is not None:
-                self.coalescer.complete(slot, result, token_cost)
-        return result
+        return GatewayBatchClient(client).invoke(
+            model, method, [(args, kwargs)], batchable=batchable,
+            semantic_terms_of=(None if semantic_terms is None
+                               else lambda _args, _kwargs: semantic_terms))[0]
 
     # -- observability --------------------------------------------------------------
     def note_event(self, kind: str, requests: int, tokens: int,

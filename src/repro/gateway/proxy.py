@@ -20,6 +20,7 @@ import dataclasses
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.gateway.gateway import SessionGatewayClient
+from repro.gateway.vectorized import GatewayBatchClient
 
 
 class GatewayModelProxy:
@@ -58,7 +59,6 @@ class GatewayModelProxy:
         arg shapes must match the serial proxy method), so hits from earlier
         serial traffic answer batch members and vice versa.
         """
-        from repro.gateway.vectorized import GatewayBatchClient
         return GatewayBatchClient(self._client).invoke(self._model, method,
                                                        calls, **opts)
 
@@ -185,8 +185,8 @@ class GatewayEmbeddings(GatewayModelProxy):
               {"threshold": threshold, "purpose": purpose})
              for candidates in candidate_lists],
             # Members are near-match eligible: when the semantic tier is on,
-            # the batch client routes them through the serial funnel so the
-            # tier keeps seeing (query, candidates) signatures.
+            # each exact-cache miss is offered to it under its (query,
+            # candidates) signature before the rest execute as a batch.
             semantic_terms_of=lambda args, kwargs: (args[0], args[1]))
 
     def embed_text_batch(self, texts, purpose="embed_text"):

@@ -1,41 +1,42 @@
-"""Vectorized gateway access: one homogeneous batch of model requests.
+"""The gateway funnel: every model call, as a vector of same-method calls.
 
-The micro-batcher (:mod:`repro.gateway.batching`) only forms batches when
-*concurrent* sessions' calls collide inside the batch window.  The hot
-single-session loops — a per-row FAO body scoring every film, the view
-populator extracting a scene graph per poster — used to issue those same
-batchable calls serially and pay full serial price.  The
-:class:`GatewayBatchClient` is their front door: it takes a *column vector*
-of same-method requests from one session and answers it with at most one
-model invocation per chunk:
+:class:`GatewayBatchClient` is the one place the gateway's tier stack is
+written.  A serial call is a one-call vector
+(:meth:`~repro.gateway.gateway.ModelGateway.invoke` is that adapter); the
+hot single-session loops — a per-row FAO body scoring every film, the view
+populator extracting a scene graph per poster — hand over whole column
+vectors.  For each call, cheapest tier first:
 
-1. every member is looked up in the shared exact cache individually, so a
-   batch that partially overlaps earlier traffic only executes its misses;
-2. the misses execute as **one** :class:`~repro.models.cost.BatchedModelCall`
-   per ``max_batch`` chunk through :func:`repro.models.batching.plan_batch`
-   (one admission slot per chunk, in-batch dedup of identical members,
-   sub-linear token price: ``max(setup) + sum(marginal)``);
-3. every computed member is inserted back into the shared cache, so
-   single-session batches and cross-session micro-batches feed the same
-   cache — and the same :class:`~repro.gateway.batching.BatchStats`.
+1. **exact cache** — the shared LRU answers identical requests
+   (:mod:`repro.gateway.cache`), so a vector that partially overlaps earlier
+   traffic only executes its misses;
+2. **semantic near-match** — predicate calls are offered to the signature
+   lookup (:mod:`repro.gateway.semantic`);
+3. **coalescing** — a miss another caller is already executing waits for
+   that execution (:mod:`repro.gateway.coalesce`);
+4. **execution** — misses run in chunks of whole key groups, at most
+   ``max_batch`` members each, through the one executor
+   :meth:`repro.gateway.batching.MicroBatcher.execute` (one admission slot
+   per chunk, in-batch dedup, sub-linear price ``max(setup) +
+   sum(marginal)``).  A one-call batchable miss goes through the
+   micro-batcher's window instead, where it can share an invocation with
+   other sessions; a non-batchable miss, or any miss with batching off, is
+   one metered call under an admission slot.
 
-Accounting matches the serial funnel exactly: hits are free and tallied as
-``tokens_saved``, executed members charge the session's own meter (one
-batched ledger record per chunk) and the admission spend ledger, and the
-sub-linear discount lands in ``batch_tokens_saved``.
-
-:func:`batch_route` is the entry point the model proxies and raw models
-share: routed models dispatch through the session's gateway client, direct
-(un-routed) suites fall back to :func:`repro.models.batching.run_model_batch`
-so the vectorized FAO bodies behave identically either way.
+Every executed member is written back to the exact and semantic tiers and
+published to its coalesced followers.  Hits are free and tallied as
+``tokens_saved``; executed members charge the session's own meter and the
+admission spend ledger, and the sub-linear discount lands in
+``batch_tokens_saved``.
 """
 
 from __future__ import annotations
 
 import copy
 from collections import OrderedDict
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from repro.gateway.batching import metered_outcome
 from repro.gateway.fingerprint import (
     canonicalize,
     contains_uri,
@@ -44,7 +45,7 @@ from repro.gateway.fingerprint import (
     semantic_group,
 )
 from repro.gateway.semantic import term_signature
-from repro.models.batching import BatchMember, plan_batch, run_model_batch
+from repro.models.batching import BatchMember, MemberOutcome
 from repro.obs.trace import record_span, span as obs_span
 from repro.sched.cancel import check_current_cancel
 
@@ -52,8 +53,20 @@ from repro.sched.cancel import check_current_cancel
 BatchCall = Tuple[Tuple[Any, ...], Dict[str, Any]]
 
 
+class _Miss(NamedTuple):
+    """One call no tier answered: where its result goes and how to store it."""
+
+    index: int
+    key: Any
+    volatile: bool
+    member: BatchMember
+    # (group, vector, signature) to store the computed answer under in the
+    # semantic tier, or None for ineligible members and in-vector duplicates.
+    semantic: Any
+
+
 class GatewayBatchClient:
-    """One session's vectorized handle on the shared gateway."""
+    """One session's handle on the gateway funnel."""
 
     #: Bound on the per-session ``batch_sizes`` audit list; consumers (the
     #: engine's per-operator records) only ever read recent suffixes.
@@ -63,60 +76,54 @@ class GatewayBatchClient:
         self._client = client
 
     def invoke(self, model: Any, method: str, calls: Sequence[BatchCall], *,
+               batchable: bool = True,
                semantic_terms_of: Optional[Callable[..., Any]] = None
                ) -> List[Any]:
-        """Answer a homogeneous batch of calls on one (un-routed) model.
+        """Answer a homogeneous vector of calls on one (un-routed) model.
 
-        Exact-cache hits are answered per member; the misses execute as one
-        batched invocation per chunk and populate the cache.  Results are
-        element-wise identical to serial execution, in call order.  A member
-        failure propagates after the members that did execute are billed —
-        exactly as a serial loop would have paid for the calls before the
-        faulty one.
+        Results are element-wise identical to serial execution, in call
+        order.  A member failure propagates after the members that did
+        execute are billed — exactly as a serial loop would have paid for
+        the calls before the faulty one.
 
-        ``semantic_terms_of(args, kwargs)`` marks members eligible for the
-        semantic near-match tier (:mod:`repro.gateway.semantic`): when the
-        tier is enabled, every exact-cache miss is first offered to the
-        tier's ANN/linear signature lookup — near-hits are served without
-        executing, exactly as the serial funnel would, and only the
-        remaining true misses execute as batched chunks (whose results are
-        then stored back under their signatures).  The tier and the batch
-        discount compose instead of excluding each other.
+        ``semantic_terms_of(args, kwargs)`` marks calls eligible for the
+        semantic near-match tier: when the tier is enabled, every
+        exact-cache miss is first offered to its signature lookup, and
+        computed answers are stored back under their signatures.
+
+        Spans: one aggregate ``model`` span per hit outcome, one per
+        executed chunk and one per follower wait, so a one-call invocation
+        records exactly one.
         """
         client = self._client
         gateway = client.gateway
         cfg = gateway.config
-        if not calls:
-            return []
+        batched = cfg.enable_batching and batchable
+        if len(calls) > 1 and not batched:
+            # Unbatched, a vector is a serial loop: each call sees what the
+            # calls before it wrote to the exact and semantic tiers.
+            return [self.invoke(model, method, [call], batchable=batchable,
+                                semantic_terms_of=semantic_terms_of)[0]
+                    for call in calls]
         semantic_active = (cfg.enable_semantic and cfg.enable_cache
                            and semantic_terms_of is not None)
-        if not cfg.enable_batching or len(calls) == 1:
-            # Serial funnel: exact per-call semantics, full tier stack.
-            return [client.invoke(
-                model, method, tuple(args), dict(kwargs), batchable=True,
-                semantic_terms=(semantic_terms_of(tuple(args), dict(kwargs))
-                                if semantic_active else None))
-                for args, kwargs in calls]
-
         model_name = getattr(model, "name", type(model).__name__)
+        call_kind = f"{model_name}.{method}"
         lexicon_fp = lexicon_fingerprint_of(model)
         results: List[Any] = [None] * len(calls)
         # Misses grouped by key, in first-occurrence order: duplicates must
         # land in the same chunk as their representative so in-batch dedup
-        # (not a re-execution in a later chunk) answers them.  Each entry is
-        # (call index, key, volatile, member, semantic info) — the last is
-        # the (group, vector, signature) triple to store the representative's
-        # computed answer under, or None for duplicates/ineligible members.
-        pending: "OrderedDict[Any, List[Tuple[int, Any, bool, BatchMember, Any]]]" \
-            = OrderedDict()
-        # Cache-served members of this vectorized call aggregate into one
-        # ``model`` span per outcome (mirroring the batched-chunk span,
-        # which also covers many members) — a span per hit member would
-        # dominate tracing cost on hot all-hit batches.
+        # (not a re-execution in a later chunk) answers them.
+        pending: "OrderedDict[Any, List[_Miss]]" = OrderedDict()
+        # Cache-served calls aggregate into one ``model`` span per outcome —
+        # a span per hit member would dominate tracing cost on hot batches.
         hit_members = hit_tokens = near_members = near_tokens = 0
         for index, (args, kwargs) in enumerate(calls):
             args, kwargs = tuple(args), dict(kwargs)
-            # The purpose tag labels cost records, never partitions results.
+            # The purpose tag only labels the cost record (it never reaches
+            # the model), so it must not partition results: two operators
+            # issuing the byte-identical call under different node names
+            # share one execution.
             keyed = {k: v for k, v in kwargs.items() if k != "purpose"}
             canonical_args = canonicalize(args)
             canonical_kwargs = canonicalize(keyed)
@@ -136,8 +143,10 @@ class GatewayBatchClient:
                         results[index] = entry.result
                         continue
                 if semantic_active:
-                    # Tier 2, per member: a near-identical already-answered
-                    # signature serves this member without executing it.
+                    # A near-identical already-answered signature serves this
+                    # call without executing it.  Non-purpose kwargs (e.g.
+                    # match_fraction's threshold=) change the answer, so they
+                    # partition the signature space.
                     group = semantic_group(model_name, method,
                                            canonical_kwargs, lexicon_fp)
                     signature = term_signature(*semantic_terms_of(args, kwargs))
@@ -156,199 +165,177 @@ class GatewayBatchClient:
                         results[index] = near.result
                         continue
                     semantic_info = (group, vector, signature)
-            pending.setdefault(key, []).append(
-                (index, key,
-                 contains_uri(canonical_args) or contains_uri(canonical_kwargs),
-                 BatchMember(model=model, method=method,
-                             args=args, kwargs=kwargs, key=key),
-                 semantic_info))
+            pending.setdefault(key, []).append(_Miss(
+                index, key,
+                contains_uri(canonical_args) or contains_uri(canonical_kwargs),
+                BatchMember(model=model, method=method, args=args,
+                            kwargs=kwargs, key=key),
+                semantic_info))
 
         if hit_members:
-            record_span(f"{model_name}.{method}", kind="model",
-                        model=model_name, method=method, outcome="exact-hit",
-                        members=hit_members, tokens_saved=hit_tokens)
+            record_span(call_kind, kind="model", model=model_name, method=method,
+                        outcome="exact-hit", members=hit_members,
+                        tokens_saved=hit_tokens)
         if near_members:
-            record_span(f"{model_name}.{method}", kind="model",
-                        model=model_name, method=method, outcome="semantic-hit",
-                        members=near_members, tokens_saved=near_tokens)
+            record_span(call_kind, kind="model", model=model_name, method=method,
+                        outcome="semantic-hit", members=near_members,
+                        tokens_saved=near_tokens)
 
-        kind = f"{model_name}.{method}"
-        meter = getattr(model, "cost_meter", None)
-        chunk_size = gateway.batcher.max_batch
-        # Pack whole key-groups into chunks (a group never straddles a
+        # Pack whole key groups into chunks (a group never straddles a
         # boundary; an oversized group still dedups to one execution).
-        chunks: List[List[Tuple[int, Any, bool, BatchMember, Any]]] = []
-        current: List[Tuple[int, Any, bool, BatchMember, Any]] = []
-        for group in pending.values():
-            if current and len(current) + len(group) > chunk_size:
+        chunks: List[List[_Miss]] = []
+        current: List[_Miss] = []
+        for key_group in pending.values():
+            if current and len(current) + len(key_group) > gateway.batcher.max_batch:
                 chunks.append(current)
                 current = []
-            current.extend(group)
+            current.extend(key_group)
         if current:
             chunks.append(current)
-        # Members an *other* session is already executing: (index, slot).
+        # Members an *other* caller is already executing: (index, slot).
         # Waited on only after every own chunk has executed and published —
         # two sessions batch-following each other therefore always make
         # progress (each completes its own leaderships before waiting).
         follower_waits: List[Tuple[int, Any]] = []
         for chunk in chunks:
-            # Cancellation and quota are enforced per chunk, mirroring the
-            # serial funnel's per-call checks: a cancelled (deadline-lapsed)
-            # request stops before the next chunk, and an over-quota tenant
-            # is refused, overshooting by at most one batch.
+            # A cancelled (deadline-lapsed) request stops before paying for
+            # another chunk.  The quota check comes before joining the
+            # in-flight table: an over-quota tenant must be refused here, not
+            # become a leader whose rejection would propagate to under-quota
+            # followers.  It overshoots by at most one chunk.
             check_current_cancel()
             if not client.quota_exempt:
                 gateway.admission.precheck(client.tenant_id)
-
-            # Tier 3 per member: lead each distinct miss in the in-flight
-            # table (so concurrent serial callers — and other batches —
-            # coalesce onto this execution); members already in flight
-            # elsewhere leave the chunk and are waited on at the end.
-            executing = []            # (index, key, volatile, member, sem info)
+            # Lead each distinct miss in the in-flight table (so concurrent
+            # callers coalesce onto this execution); members already in
+            # flight elsewhere leave the chunk and are waited on at the end.
+            executing: List[_Miss] = []
             led_slots: Dict[Any, Any] = {}
-            for entry in chunk:
-                key = entry[1]
-                if cfg.enable_coalescing and key not in led_slots:
-                    leader, slot = gateway.coalescer.begin(key)
+            for miss in chunk:
+                if cfg.enable_coalescing and miss.key not in led_slots:
+                    leader, slot = gateway.coalescer.begin(miss.key)
                     if not leader:
-                        follower_waits.append((entry[0], slot))
+                        follower_waits.append((miss.index, slot))
                         continue
-                    led_slots[key] = slot
-                executing.append(entry)
+                    led_slots[miss.key] = slot
+                executing.append(miss)
             if not executing:
                 continue
-
             # One ``model`` span per executed chunk, on this session's own
             # trace — micro-batch membership is caller-side, so every
             # participating session records the chunk it waited on.
-            with obs_span(f"{model_name}.{method}", kind="model",
-                          model=model_name, method=method) as chunk_sp:
+            with obs_span(call_kind, kind="model", model=model_name,
+                          method=method) as chunk_sp:
+                members = [miss.member for miss in executing]
                 try:
-                    with gateway.admission.slot():
-                        plan = plan_batch(
-                            [member for _, _, _, member, _ in executing])
+                    if not batched:
+                        with gateway.admission.slot():
+                            outcomes = [metered_outcome(members[0])]
+                    elif len(calls) == 1:
+                        outcomes = [gateway.batcher.submit(call_kind, members[0]).result()]
+                    else:
+                        outcomes = gateway.batcher.execute(call_kind, members)
                 except BaseException as error:
                     for slot in led_slots.values():
                         gateway.coalescer.fail(slot, error)
                     raise
+                self._publish(executing, outcomes, led_slots, results, chunk_sp,
+                              batched=batched, own_chunk=len(calls) > 1)
 
-                # Bill the whole chunk as one BatchedModelCall on the
-                # session's own meter (the raw model shares it), sub-linearly
-                # priced.  A chunk whose members all failed executed nothing:
-                # no batch is recorded anywhere (the errors still propagate
-                # below).
-                if plan.size:
-                    if meter is not None:
-                        meter.record_batched(
-                            model_name, executing[0][3].purpose,
-                            plan.prompt_tokens, plan.completion_tokens,
-                            batch_size=plan.size, members=plan.size,
-                            serial_tokens=plan.serial_tokens,
-                            latency_s=plan.latency_s)
-                    client.counters.misses += plan.size
-                    client.counters.tokens_charged += plan.total_tokens
-                    client.counters.batch_calls += 1
-                    client.counters.batch_sizes.append(plan.size)
-                    if len(client.counters.batch_sizes) > self.MAX_RECORDED_SIZES:
-                        # Long-lived clients (the service's corpus loader)
-                        # must not grow this forever; callers read recent
-                        # suffixes.
-                        del client.counters.batch_sizes[:-self.MAX_RECORDED_SIZES // 2]
-                    if plan.tokens_saved:
-                        client.counters.batch_tokens_saved += plan.tokens_saved
-                    gateway.admission.charge(client.tenant_id, plan.total_tokens)
-                    gateway.batcher.note_external_batch(kind, plan.size,
-                                                        plan.tokens_saved)
-                    gateway.note_event("misses", plan.size, plan.total_tokens,
-                                       client.session_id)
-                    if plan.tokens_saved:
-                        gateway.note_event("batch_saved", 0, plan.tokens_saved,
-                                           client.session_id)
-                    chunk_sp.tag(outcome="batched-chunk",
-                                 batch_size=plan.size,
-                                 tokens=plan.total_tokens,
-                                 batch_tokens_saved=plan.tokens_saved)
-
-                # Publish every outcome — results to the caller,
-                # representatives to the cache and the in-flight followers.
-                # The slot completion lives in a finally so a failed cache
-                # insert can never strand a follower mid-wait.
-                first_error = None
-                published = set()
-                try:
-                    for (index, key, volatile, _member, semantic_info), outcome \
-                            in zip(executing, plan.outcomes):
-                        if outcome.error is not None:
-                            first_error = first_error or outcome.error
-                            slot = led_slots.pop(key, None)
-                            if slot is not None:
-                                gateway.coalescer.fail(slot, outcome.error)
-                            continue
-                        results[index] = outcome.result
-                        if key in published:
-                            continue
-                        published.add(key)
-                        if cfg.enable_cache:
-                            gateway.cache.note_miss()
-                            gateway.cache.put(key, outcome.result,
-                                              outcome.charged_tokens,
-                                              volatile=volatile)
-                        if semantic_info is not None:
-                            # Store the computed answer under its signature so
-                            # later near-identical vectors (or serial calls)
-                            # reuse it — mirroring the serial funnel's put.
-                            group, vector, signature = semantic_info
-                            gateway.semantic.put(group, vector, signature,
-                                                 outcome.result,
-                                                 outcome.charged_tokens)
-                        slot = led_slots.pop(key, None)
-                        if slot is not None:
-                            gateway.coalescer.complete(slot, outcome.result,
-                                                       outcome.charged_tokens)
-                finally:
-                    # Anything still led here hit an infrastructure failure
-                    # (e.g. the cache insert raised): release its followers.
-                    for key, slot in led_slots.items():
-                        outcome = next(
-                            (o for (i, k, v, m, s), o in zip(executing,
-                                                             plan.outcomes)
-                             if k == key and o.error is None), None)
-                        if outcome is not None:
-                            gateway.coalescer.complete(slot, outcome.result,
-                                                       outcome.charged_tokens)
-                        else:
-                            gateway.coalescer.fail(
-                                slot, first_error
-                                or RuntimeError("batched member never executed"))
-                if first_error is not None:
-                    raise first_error
-
-        # Collect members another session computed while this batch ran.
+        # Collect members another caller computed while this vector ran.
         # Each wait is its own ``model`` span on *this* session's trace, so
         # cross-session coalescing attributes to every follower's query.
         for index, slot in follower_waits:
-            with obs_span(f"{model_name}.{method}", kind="model",
-                          model=model_name, method=method) as fsp:
+            with obs_span(call_kind, kind="model", model=model_name,
+                          method=method) as follower_sp:
                 result, token_cost = gateway.coalescer.wait(slot)
                 client.counters.coalesced += 1
                 client.counters.tokens_saved += token_cost
-                gateway.note_event("coalesced", 1, token_cost,
-                                   client.session_id)
-                fsp.tag(outcome="coalesced-follower", tokens_saved=token_cost)
+                gateway.note_event("coalesced", 1, token_cost, client.session_id)
+                follower_sp.tag(outcome="coalesced-follower",
+                                tokens_saved=token_cost)
             results[index] = copy.deepcopy(result)
         return results
 
+    def _publish(self, executing: List[_Miss], outcomes: List[MemberOutcome],
+                 led_slots: Dict[Any, Any], results: List[Any], chunk_sp: Any, *,
+                 batched: bool, own_chunk: bool) -> None:
+        """Bill one executed chunk and publish every member's outcome.
 
-def batch_route(model: Any, method: str, calls: Sequence[BatchCall],
-                purpose: Optional[str] = None) -> List[Any]:
-    """Run a homogeneous batch on a possibly-routed model.
-
-    Gateway-proxied models (session suites) go through the shared cache and
-    batch accounting via :class:`GatewayBatchClient`; direct models execute
-    the same sub-linear batch plan on their own meter.  Either way the
-    results are element-wise identical to a serial loop.
-    """
-    if getattr(model, "__gateway_proxy__", False):
-        return GatewayBatchClient(model._client).invoke(model.wrapped, method,
-                                                        calls)
-    return run_model_batch(model, method, calls, purpose=purpose)
+        Results go to the caller, representatives to the exact and semantic
+        tiers and to the in-flight followers.  Slot completion lives in a
+        finally, so a failed cache insert can never strand a follower; the
+        first member error is raised once everything else is published.
+        """
+        client = self._client
+        gateway = client.gateway
+        counters = client.counters
+        alive = [outcome for outcome in outcomes if outcome.error is None]
+        charged = sum(outcome.charged_tokens for outcome in alive)
+        saved = max(0, sum(outcome.serial_tokens for outcome in alive) - charged)
+        first_error = None
+        try:
+            # A chunk whose members all failed executed nothing: nothing is
+            # billed (the errors still propagate below).
+            if alive:
+                counters.misses += len(alive)
+                counters.tokens_charged += charged
+                gateway.note_event("misses", len(alive), charged, client.session_id)
+                gateway.admission.charge(client.tenant_id, charged)
+                if saved:
+                    counters.batch_tokens_saved += saved
+                    gateway.note_event("batch_saved", 0, saved, client.session_id)
+                    chunk_sp.tag(batch_tokens_saved=saved)
+                chunk_sp.tag(outcome="batched-chunk" if batched else "executed",
+                             tokens=charged)
+                if own_chunk:
+                    # A chunk this session issued itself (one-call misses
+                    # may have shared someone else's window instead).
+                    counters.batch_calls += 1
+                    counters.batch_sizes.append(len(alive))
+                    if len(counters.batch_sizes) > self.MAX_RECORDED_SIZES:
+                        # Long-lived clients (the service's corpus loader)
+                        # must not grow this forever.
+                        del counters.batch_sizes[:-self.MAX_RECORDED_SIZES // 2]
+                    chunk_sp.tag(batch_size=len(alive))
+            published = set()
+            for miss, outcome in zip(executing, outcomes):
+                slot = led_slots.get(miss.key)
+                if outcome.error is not None:
+                    first_error = first_error or outcome.error
+                    if slot is not None:
+                        gateway.coalescer.fail(slot, outcome.error)
+                        del led_slots[miss.key]
+                    continue
+                results[miss.index] = outcome.result
+                if miss.key in published:
+                    continue
+                published.add(miss.key)
+                if gateway.config.enable_cache:
+                    gateway.cache.note_miss()
+                    gateway.cache.put(miss.key, outcome.result,
+                                      outcome.charged_tokens,
+                                      volatile=miss.volatile)
+                if miss.semantic is not None:
+                    group, vector, signature = miss.semantic
+                    gateway.semantic.put(group, vector, signature,
+                                         outcome.result, outcome.charged_tokens)
+                if slot is not None:
+                    gateway.coalescer.complete(slot, outcome.result,
+                                               outcome.charged_tokens)
+                    del led_slots[miss.key]
+        finally:
+            # Anything still led here hit an infrastructure failure (e.g. the
+            # cache insert raised): release its followers.
+            for key, slot in led_slots.items():
+                outcome = next((o for m, o in zip(executing, outcomes)
+                                if m.key == key and o.error is None), None)
+                if outcome is not None:
+                    gateway.coalescer.complete(slot, outcome.result,
+                                               outcome.charged_tokens)
+                else:
+                    gateway.coalescer.fail(
+                        slot, first_error
+                        or RuntimeError("batched member never executed"))
+        if first_error is not None:
+            raise first_error

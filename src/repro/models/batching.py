@@ -18,8 +18,9 @@ the simulated models without touching their serial semantics:
   price, so every session still pays its fair share.
 
 :func:`run_model_batch` is the direct (single-meter) entry point backing the
-models' public ``*_batch()`` methods; the gateway's micro-batcher uses
-:func:`plan_batch` itself and records one share per member session.
+models' public ``*_batch()`` methods; the gateway's one executor
+(:meth:`repro.gateway.batching.MicroBatcher.execute`) uses :func:`plan_batch`
+itself and records one summed share per member cost meter.
 """
 
 from __future__ import annotations

@@ -362,6 +362,49 @@ class TestMicroBatching:
         assert any(kind.endswith(".extract") for kind in kinds)
         assert max(k.largest_batch for k in kinds.values()) == 2
 
+    def test_one_executor_records_one_share_per_meter(self):
+        # A vector from one session and a window shared by two sessions run
+        # through the same executor: the vector lands as one record covering
+        # all its members, the window as one record per session.
+        from repro.gateway import GatewayBatchClient
+        from repro.models.cost import BatchedModelCall
+        from repro.models.ner import EntityExtractor
+
+        gateway = ModelGateway(GatewayConfig(enable_cache=False,
+                                             enable_coalescing=False,
+                                             batch_window_s=0.25))
+        lexicon = default_lexicon()
+        meters = {sid: CostMeter() for sid in ("v", "a", "b")}
+        models = {sid: EntityExtractor(cost_meter=meters[sid], lexicon=lexicon)
+                  for sid in meters}
+        texts = ["David Merrill met a gun fight in the city.",
+                 "Ruth Merrill enjoyed a calm garden walk.",
+                 "A storm hit the harbor at night.",
+                 "Two friends argued over dinner."]
+        GatewayBatchClient(gateway.client("v")).invoke(
+            models["v"], "extract", [((text,), {}) for text in texts])
+        [vector_call] = meters["v"].calls
+        assert isinstance(vector_call, BatchedModelCall)
+        assert vector_call.members == vector_call.batch_size == 4
+
+        barrier = threading.Barrier(2)
+
+        def call(sid, text):
+            barrier.wait()
+            return gateway.client(sid).invoke(models[sid], "extract", (text,),
+                                              {}, batchable=True)
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            list(pool.map(call, ("a", "b"), texts[:2]))
+        for sid in ("a", "b"):
+            [share] = meters[sid].calls
+            assert isinstance(share, BatchedModelCall)
+            assert share.members == 1 and share.batch_size == 2
+        batching = gateway.stats()["batching"]
+        assert batching["batches"] == 2
+        assert batching["batched_calls"] == 6
+        assert batching["largest_batch"] == 4
+
     def test_queued_followers_skip_the_window_sleep(self):
         # The satellite bugfix: a follower that is already queued when the
         # leader loops must be served immediately — not after a further full

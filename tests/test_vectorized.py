@@ -11,6 +11,7 @@ per-session reconciliation, batch stats).
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import KathDBConfig, KathDBService, QueryRequest, ScriptedUser
 from repro.data.mmqa import build_movie_corpus
@@ -264,7 +265,7 @@ class TestGatewayBatchClient:
     def test_semantic_tier_stays_live_for_vectors(self):
         # With the near-match tier enabled, the batch client consults it
         # per member (tests/test_semantic_ann.py covers the multi-member
-        # composition; this single-member vector takes the serial funnel).
+        # composition; a one-call vector is exactly a serial call).
         gateway, routed = self._routed(enable_semantic=True,
                                        semantic_threshold=0.95)
         routed.embeddings.match_fraction_batch(KEYWORDS, [["war", "battle"]])
@@ -341,6 +342,64 @@ class TestGatewayBatchClient:
         assert sum(c.coalesced for c in counters) == len(calls)
         assert sum(c.tokens_charged for c in counters) > 0
         assert gateway.coalescer.stats.coalesced == len(calls)
+
+
+#: Candidate lists far enough apart that only their case/order variants are
+#: semantic near-matches (and those have identical exact answers).
+DIFF_BASE = [("war", "battle"), ("picnic", "tea", "garden"), ("gun", "chase"),
+             ("calm", "beach"), ("ghost", "scream", "night")]
+DIFF_VARIANTS = {
+    "same": list,
+    "title": lambda terms: [t.title() for t in terms],
+    "reversed": lambda terms: list(reversed(terms)),
+}
+DIFF_FLAGS = ("enable_cache", "enable_coalescing", "enable_batching",
+              "enable_semantic")
+
+
+class TestSerialVectorDifferential:
+    """``match_fraction_batch`` is a serial loop of ``match_fraction``."""
+
+    @staticmethod
+    def _run(config, warm, lists, vectorized):
+        gateway = ModelGateway(GatewayConfig(semantic_threshold=0.999,
+                                             **config))
+        routed = ModelSuite.create(seed=7).fork().routed(gateway, "s1")
+        for index in warm:
+            routed.embeddings.match_fraction(KEYWORDS, list(DIFF_BASE[index]))
+        client = routed.gateway_client
+        marker = client.counters.snapshot()
+        if vectorized:
+            scores = routed.embeddings.match_fraction_batch(KEYWORDS, lists)
+        else:
+            scores = [routed.embeddings.match_fraction(KEYWORDS, terms)
+                      for terms in lists]
+        delta = client.counters.delta(marker)
+        assert (delta["hits"] + delta["semantic_hits"] + delta["misses"]
+                + delta["coalesced"]) == len(lists)
+        assert client.counters.tokens_charged == gateway.admission.spent("s1") \
+            == routed.cost_meter.total_tokens
+        ledger = [(c.model, c.purpose, c.total_tokens)
+                  for c in routed.cost_meter.calls]
+        return scores, client.counters.as_dict(), ledger
+
+    @settings(max_examples=50, deadline=None)
+    @given(config=st.fixed_dictionaries({flag: st.booleans() for flag in DIFF_FLAGS}),
+           max_batch=st.sampled_from([2, 32]),
+           warm=st.lists(st.integers(0, len(DIFF_BASE) - 1), max_size=3),
+           picks=st.lists(st.tuples(st.integers(0, len(DIFF_BASE) - 1),
+                                    st.sampled_from(sorted(DIFF_VARIANTS))),
+                          min_size=1, max_size=8))
+    def test_vector_matches_serial_loop(self, config, max_batch, warm, picks):
+        config = dict(config, max_batch=max_batch)
+        lists = [DIFF_VARIANTS[variant](DIFF_BASE[index])
+                 for index, variant in picks]
+        serial, serial_counters, serial_ledger = self._run(config, warm, lists, False)
+        vector, vector_counters, vector_ledger = self._run(config, warm, lists, True)
+        assert vector == serial
+        if not config["enable_batching"]:
+            assert vector_ledger == serial_ledger
+            assert vector_counters == serial_counters
 
 
 class TestWindowedStats:
