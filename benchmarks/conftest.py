@@ -1,9 +1,11 @@
-"""Shared fixtures for the benchmark harness.
+"""Shared fixtures for the paper-reproduction benchmarks.
 
-Each benchmark regenerates one of the paper's tables/figures (T1, T2, F1-F6)
-or one ablation (A1-A6); see DESIGN.md section 4 for the experiment index and
-EXPERIMENTS.md for the recorded results.  Fixtures are session-scoped where
-the artifact is read-only.
+Each ``bench_*.py`` file regenerates one of the paper's tables/figures (T1,
+T2, T3/F2, F1-F6) or one ablation (A1-A7); its docstring's first line names
+the experiment.  Run them with ``PYTHONPATH=src python -m pytest -q
+benchmarks/bench_*.py --benchmark-disable``.  Fixtures are session-scoped
+where the artifact is read-only.  ``benchmarks/e2e`` is the end-to-end
+performance benchmark of the shipped defaults.
 """
 
 from __future__ import annotations

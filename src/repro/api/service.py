@@ -56,7 +56,7 @@ class KathDBService(RequestFrontend):
         # traces flow through _trace_finished into the ring buffer, the
         # optional JSONL sink, and the slow-query log.
         self.metrics = MetricsRegistry()
-        self._trace_buffer = TraceRingBuffer(self.config.trace_buffer_size)
+        self._trace_buffer = TraceRingBuffer()
         self._trace_sink = (JsonlTraceSink(self.config.trace_jsonl_path)
                             if self.config.trace_jsonl_path is not None
                             else None)

@@ -9,6 +9,16 @@ from typing import Dict, Optional, Union
 from repro.datamodel.lineage import LINEAGE_LEVEL_OFF, LINEAGE_LEVEL_ROW, LINEAGE_LEVEL_TABLE
 from repro.errors import KathDBError
 
+#: Cosine threshold of the service's semantic near-match tier.  Below it a
+#: lookup falls back to exact execution.  tests/test_semantic_ann.py replays
+#: a scoring-shaped request stream against exact execution: this value serves
+#: near-hits with zero false accepts, while the tier's original 0.97 serves
+#: wrong answers to near-boundary requests (one extra term on a long
+#: candidate list).  It only reuses answers whose signatures embed
+#: identically: case/order/format variants of the same request, which exact
+#: caching cannot dedup.
+SEMANTIC_SIMILARITY_THRESHOLD = 0.999
+
 
 @dataclass
 class KathDBConfig:
@@ -86,7 +96,6 @@ class KathDBConfig:
     # Exact-match result cache (and the semantic tier riding on it).
     enable_model_cache: bool = True
     gateway_cache_entries: int = 4096
-    gateway_cache_token_budget: Optional[int] = None
     # Durable gateway cache: persist the exact tier's non-volatile entries
     # and the semantic tier's (group, signature, answer) records through the
     # same pluggable backends as the skill store ("memory" = process-local
@@ -103,20 +112,10 @@ class KathDBConfig:
     # wall-clock to amortize), zero (pure pass-through batching) otherwise.
     enable_micro_batching: bool = True
     gateway_batch_window_s: Optional[float] = None
-    gateway_max_batch: int = 32
-    # Semantic near-match tier for embeddings-backed predicates.  On by
-    # default since the ANN graduation: benchmarks/bench_semantic.py measures
-    # the tier's accuracy against exact execution, and the shipped default
-    # threshold is the one it proves produces zero false accepts on the
-    # scoring workload (below-threshold lookups always fall back to exact
-    # execution).  The sweep shows looser thresholds (0.97, 0.995) serving
-    # wrong answers to near-boundary requests — one extra term on a long
-    # candidate list — so the default only reuses answers whose signatures
-    # embed identically (case/order/format variants of the same request,
-    # which exact caching cannot dedup).  Disable for bit-identical-to-
-    # uncached runs.
+    # Semantic near-match tier for embeddings-backed predicates, at
+    # SEMANTIC_SIMILARITY_THRESHOLD.  On by default since the ANN graduation;
+    # disable for bit-identical-to-uncached runs.
     enable_semantic_cache: bool = True
-    semantic_similarity_threshold: float = 0.999
     # Lookup structure: "ann" (multi-probe LSH over signature vectors,
     # lookup cost independent of entry count) or "linear" (exhaustive scan).
     semantic_cache_mode: str = "ann"
@@ -126,20 +125,13 @@ class KathDBConfig:
     semantic_ann_planes: int = 16
     semantic_ann_probes: int = 8
     # Admission control.
-    gateway_max_concurrency: int = 16
     session_token_quota: Optional[int] = None
-    # LRU bound on the gateway's per-session stats/ledger entries.  Lower it
-    # for workloads dominated by throwaway per-request sessions (e.g. steady
-    # benchmark loops) so the tracked set reaches a fixed size instead of
-    # growing toward the default for hours.
-    gateway_max_tracked_sessions: int = 4096
     # Observability (src/repro/obs/): per-query trace trees fed into the
-    # service's MetricsRegistry and trace sinks.  Tracing is on by default —
-    # benchmarks/bench_observability.py holds its overhead under 5% wall
-    # time and 0 extra tokens (spans never call models).
+    # service's MetricsRegistry and trace sinks.  Tracing is on by default:
+    # spans never call models, so it costs 0 tokens
+    # (tests/test_observability.py), and benchmarks/e2e runs with it on, so
+    # its wall cost is inside every end-to-end metric.
     enable_tracing: bool = True
-    # How many finished traces service.traces() retains in memory.
-    trace_buffer_size: int = 256
     # When set, every finished trace is appended to this JSONL file.
     trace_jsonl_path: Optional[Union[str, Path]] = None
     # When set, queries slower than this end-to-end land in the service's
@@ -191,20 +183,12 @@ class KathDBConfig:
                 "requires gateway_cache_path")
         if self.gateway_batch_window_s is not None and self.gateway_batch_window_s < 0:
             raise KathDBError("gateway_batch_window_s must be non-negative")
-        if self.gateway_max_batch < 1:
-            raise KathDBError("gateway_max_batch must be at least 1")
-        if not 0.0 < self.semantic_similarity_threshold <= 1.0:
-            raise KathDBError("semantic_similarity_threshold must be in (0, 1]")
         if self.semantic_cache_mode not in ("linear", "ann"):
             raise KathDBError("semantic_cache_mode must be 'linear' or 'ann'")
         if not 1 <= self.semantic_ann_planes <= 64:
             raise KathDBError("semantic_ann_planes must be in [1, 64]")
         if self.semantic_ann_probes < 0:
             raise KathDBError("semantic_ann_probes must be non-negative")
-        if self.gateway_max_concurrency < 1:
-            raise KathDBError("gateway_max_concurrency must be at least 1")
-        if self.gateway_max_tracked_sessions < 1:
-            raise KathDBError("gateway_max_tracked_sessions must be at least 1")
         if self.skill_store_path is not None and self.skill_store_backend == "memory":
             # A path means the caller wants durability; default to files.
             self.skill_store_backend = "file"
@@ -218,8 +202,6 @@ class KathDBConfig:
             raise KathDBError("skill_retrieval_threshold must be in (0, 1]")
         if self.session_token_quota is not None and self.session_token_quota < 1:
             raise KathDBError("session_token_quota must be positive when set")
-        if self.trace_buffer_size < 1:
-            raise KathDBError("trace_buffer_size must be at least 1")
         if self.sched_queue_limit < 1:
             raise KathDBError("sched_queue_limit must be at least 1")
         from repro.sched.scheduler import PRIORITY_CLASSES
@@ -243,14 +225,15 @@ class KathDBConfig:
     def effective_batch_size(self) -> int:
         """The vectorization chunk size execution should use (1 = serial).
 
-        Clamped to ``gateway_max_batch`` when the gateway is on: the batch
-        client re-chunks at that bound anyway, and the optimizer's setup
+        Clamped to the gateway's ``max_batch`` when the gateway is on: the
+        batch client re-chunks at that bound anyway, and the optimizer's setup
         pricing must count the same number of chunks execution will pay for.
         """
         if not self.enable_vectorized_execution:
             return 1
         if self.enable_model_gateway:
-            return min(self.vectorized_batch_size, self.gateway_max_batch)
+            from repro.gateway.gateway import GatewayConfig
+            return min(self.vectorized_batch_size, GatewayConfig.max_batch)
         return self.vectorized_batch_size
 
     def gateway_config(self):
@@ -265,16 +248,12 @@ class KathDBConfig:
         return GatewayConfig(
             enable_cache=self.enable_model_cache,
             cache_entries=self.gateway_cache_entries,
-            cache_token_budget=self.gateway_cache_token_budget,
             enable_coalescing=self.enable_request_coalescing,
             enable_batching=self.enable_micro_batching,
             batch_window_s=window,
-            max_batch=self.gateway_max_batch,
             enable_semantic=self.enable_semantic_cache,
-            semantic_threshold=self.semantic_similarity_threshold,
+            semantic_threshold=SEMANTIC_SIMILARITY_THRESHOLD,
             semantic_mode=self.semantic_cache_mode,
             semantic_planes=self.semantic_ann_planes,
             semantic_probes=self.semantic_ann_probes,
-            max_concurrency=self.gateway_max_concurrency,
-            session_token_quota=self.session_token_quota,
-            max_tracked_sessions=self.gateway_max_tracked_sessions)
+            session_token_quota=self.session_token_quota)

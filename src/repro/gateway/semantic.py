@@ -28,11 +28,12 @@ lookup below the threshold always falls back to exact execution, an entry
 whose canonical signature is string-identical to the request's is
 authoritative (same sorted term multisets compute the same answer), and
 anything between is a deliberate near-match whose measured accuracy is
-what ``benchmarks/bench_semantic.py`` gates: the shipped default threshold
-is the one the benchmark proves produces zero false accepts against exact
-execution on the scoring workload.  Entries are grouped per (model,
-method, lexicon fingerprint, non-purpose kwargs) — diverged lexicons, or
-the same terms under a different ``threshold=`` argument, never share.
+what ``tests/test_semantic_ann.py`` audits: the service's threshold,
+``repro.core.config.SEMANTIC_SIMILARITY_THRESHOLD``, produces zero false
+accepts against exact execution on a scoring-shaped request stream.
+Entries are grouped per (model, method, lexicon fingerprint, non-purpose
+kwargs) — diverged lexicons, or the same terms under a different
+``threshold=`` argument, never share.
 
 Invalidation keeps the LSH index and the entry store in lockstep: every
 eviction, ``clear()`` (the corpus-reload path included), and capacity

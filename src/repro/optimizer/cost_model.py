@@ -26,7 +26,8 @@ _RELATIONAL_FILTER_SELECTIVITY = 0.4
 _SECONDS_PER_1K_TOKENS = 0.02
 # Relational per-row processing cost (seconds).  Halved when the relational
 # core went columnar: pure operators now run over shared column vectors
-# instead of materializing a dict per row (see benchmarks/bench_columnar.py).
+# instead of materializing a dict per row (benchmarks/e2e reports the
+# measured time as relational.operator_ms).
 _SECONDS_PER_ROW = 1e-6
 
 

@@ -17,8 +17,11 @@ from repro import (
     KathDBConfig,
     KathDBService,
     QueryRequest,
+    ScriptedUser,
     SilentUser,
+    build_movie_corpus,
 )
+from repro.data.workloads import FLAGSHIP_CLARIFICATION
 from repro.errors import SessionQuotaExceededError
 from repro.gateway import (
     GatewayConfig,
@@ -32,6 +35,7 @@ from repro.models.embeddings import EmbeddingModel
 from repro.models.lexicon import default_lexicon
 
 BORING_QUERY = "Which films have a boring poster?"
+SCORING_QUERY = "Rank every film by how exciting its plot is."
 
 
 class CountingModel:
@@ -496,8 +500,8 @@ class TestSemanticTier:
     def test_raw_gateway_layer_defaults_off_and_executes_exactly(self):
         # GatewayConfig (the explicit, low-level layer) keeps the tier
         # opt-in; the *service* default is on via KathDBConfig, whose
-        # measured-accuracy graduation is tests/test_semantic_ann.py's and
-        # benchmarks/bench_semantic.py's contract.
+        # measured-accuracy graduation is tests/test_semantic_ann.py's
+        # contract (TestAccuracyAudit).
         gateway = ModelGateway(GatewayConfig())
         proxy, _ = self._proxy(gateway)
         proxy.match_fraction(["gun", "murder"], ["fight"])
@@ -729,6 +733,31 @@ class TestServiceIntegration:
         # Prepared plan + gateway cache: the rerun costs (almost) nothing.
         assert second.total_tokens < first.total_tokens / 2
         assert second.gateway_stats["hits"] > 0
+
+    def test_micro_batching_cuts_tokens_with_identical_rows(self):
+        # Cache, coalescing and the semantic tier off in both arms: every
+        # saved token comes from batched execution's shared setup.
+        corpus = build_movie_corpus(size=12, seed=7)
+
+        def run(batching):
+            svc = fresh_service(corpus, enable_model_cache=False,
+                                enable_request_coalescing=False,
+                                enable_semantic_cache=False,
+                                enable_micro_batching=batching)
+            responses = [svc.query(QueryRequest(
+                nl_query=SCORING_QUERY,
+                user=ScriptedUser({"exciting": FLAGSHIP_CLARIFICATION})))
+                for _ in range(4)]
+            savings = svc.gateway_stats()["batch_token_savings"]
+            svc.shutdown()
+            return ([rows_of(r) for r in responses],
+                    sum(r.total_tokens for r in responses), savings)
+
+        serial_rows, serial_tokens, _ = run(False)
+        batched_rows, batched_tokens, savings = run(True)
+        assert batched_rows == serial_rows
+        assert batched_tokens < serial_tokens
+        assert savings > 0
 
     def test_per_operator_gateway_observability(self, corpus):
         svc = fresh_service(corpus)

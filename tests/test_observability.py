@@ -500,6 +500,8 @@ class TestServiceObservability:
         assert a.ok and b.ok
         assert [dict(r) for r in a.result.final_table] == \
             [dict(r) for r in b.result.final_table]
+        # Spans never call models: tracing costs no tokens.
+        assert a.total_tokens == b.total_tokens
         assert b.trace_id is None and b.trace_spans is None
         assert b.latency_ms > 0                    # latency is always measured
         assert untraced.traces() == []

@@ -5,7 +5,8 @@ linear scan on accept/reject decisions across thresholds, multi-probe
 recovers near-boundary vectors a single bucket probe would miss, every
 invalidation path (eviction, clear, corpus reload) drops index entries in
 lockstep with cache entries, the vectorized ``match_fraction_batch`` funnel
-composes with the tier instead of bypassing it, and the config/CLI knobs
+composes with the tier instead of bypassing it, the service's threshold
+serves no false accepts against exact execution, and the config/CLI knobs
 reach the index.
 """
 
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro import KathDBConfig, KathDBService, build_movie_corpus
+from repro.core.config import SEMANTIC_SIMILARITY_THRESHOLD
 from repro.core.config import KathDBConfig as CoreConfig
 from repro.errors import KathDBError
 from repro.gateway import GatewayConfig, LSHIndex, ModelGateway, SemanticNearCache
@@ -21,6 +23,7 @@ from repro.gateway.semantic import term_signature
 from repro.models.cost import CostMeter
 from repro.models.embeddings import EmbeddingModel, cosine_similarity
 from repro.models.lexicon import default_lexicon
+from repro.utils.text import content_words
 
 GROUP = ("embedding:lexicon-64", "match_fraction", "", ())
 
@@ -345,6 +348,87 @@ class TestVectorizedFunnelUnderAnn:
         assert gateway.client("s").counters.semantic_hits == len(base)
 
 
+#: Keyword families the generated scoring functions plausibly emit.
+KEYWORD_FAMILIES = (
+    KEYWORDS,
+    ("love", "romance", "kiss", "wedding", "heart"),
+    ("ghost", "monster", "scream", "haunted", "blood"),
+)
+
+
+def build_scoring_requests(corpus):
+    """A scoring-shaped predicate request stream: (query terms, candidates).
+
+    * each movie's plot terms against each keyword family (one pass of the
+      match-density scoring body);
+    * re-issues of those as another tenant would type them: title-cased
+      terms (the embedder normalizes case, so the answer is provably equal)
+      and reversed argument order (signature-identical by construction);
+    * genuinely different requests: a disjoint plot slice, and the plot
+      terms plus one unseen term — close in signature space, but a
+      different request whose answer may differ.
+    """
+    base, variant, novel = [], [], []
+    for position, movie in enumerate(corpus.movies):
+        words = content_words(movie.plot)
+        terms, late = tuple(words[:18]), tuple(words[18:36])
+        if not terms:
+            continue
+        for family, keywords in enumerate(KEYWORD_FAMILIES):
+            base.append((keywords, terms))
+            if (position + family) % 2 == 0:
+                variant.append((tuple(t.title() for t in keywords),
+                                tuple(t.title() for t in terms)))
+            else:
+                variant.append((tuple(reversed(keywords)),
+                                tuple(reversed(terms))))
+        if late:
+            novel.append((KEYWORD_FAMILIES[0], late))
+        novel.append((KEYWORD_FAMILIES[position % len(KEYWORD_FAMILIES)],
+                      terms + (f"zzquux{position}",)))
+    return base + variant + novel
+
+
+class TestAccuracyAudit:
+    """Every answer the tier serves, compared against exact execution.
+
+    Misses store the exact answer, as the gateway does on a miss.  This is
+    where the service's threshold comes from: it serves near-hits with zero
+    false accepts, while the tier's original 0.97 serves wrong answers.
+    """
+
+    @pytest.fixture(scope="class")
+    def stream(self):
+        return build_scoring_requests(build_movie_corpus(size=16, seed=7))
+
+    def audit(self, stream, threshold, mode):
+        model = EmbeddingModel(lexicon=default_lexicon())
+        cache = SemanticNearCache(threshold=threshold, capacity=8192, mode=mode)
+        near_hits = false_accepts = 0
+        for query, candidates in stream:
+            signature = term_signature(query, candidates)
+            vector = cache.embed_signature(signature)
+            entry, _ = cache.search(GROUP, vector, signature)
+            exact = model.match_fraction(list(query), list(candidates))
+            if entry is None:
+                cache.put(GROUP, vector, signature, exact)
+                continue
+            near_hits += 1
+            false_accepts += entry.result != exact
+        return near_hits, false_accepts
+
+    @pytest.mark.parametrize("mode", ["linear", "ann"])
+    def test_service_threshold_has_zero_false_accepts(self, stream, mode):
+        near_hits, false_accepts = self.audit(
+            stream, SEMANTIC_SIMILARITY_THRESHOLD, mode)
+        assert near_hits > 0
+        assert false_accepts == 0
+
+    def test_original_threshold_serves_wrong_answers(self, stream):
+        _, false_accepts = self.audit(stream, 0.97, "ann")
+        assert false_accepts > 0
+
+
 class TestKnobs:
     def test_service_default_is_ann_on(self):
         config = KathDBConfig()
@@ -353,6 +437,7 @@ class TestKnobs:
         gateway_config = config.gateway_config()
         assert gateway_config.enable_semantic
         assert gateway_config.semantic_mode == "ann"
+        assert gateway_config.semantic_threshold == SEMANTIC_SIMILARITY_THRESHOLD
         assert gateway_config.semantic_planes == config.semantic_ann_planes
         assert gateway_config.semantic_probes == config.semantic_ann_probes
 

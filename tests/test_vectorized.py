@@ -525,7 +525,9 @@ class TestEndToEndEquivalence:
         serial_rows, serial_tokens, serial_record = run(False)
         vector_rows, vector_tokens, vector_record = run(True)
         assert serial_rows == vector_rows
-        assert vector_tokens < serial_tokens
+        # Sub-linear batch billing (population + scoring query) saves at
+        # least a third of the serial bill.
+        assert vector_tokens * 1.5 <= serial_tokens
         # The vectorized run surfaces its batched invocations per operator.
         assert vector_record.batch_calls >= 1
         assert sum(vector_record.batch_sizes) == vector_record.rows_in
