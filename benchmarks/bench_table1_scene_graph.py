@@ -17,7 +17,7 @@ def test_table1_scene_graph_population(benchmark, bench_corpus, bench_models):
     def populate():
         lineage = LineageStore()
         parent = lineage.record_source("file://data/mmqa/poster_images.json")
-        return populate_scene_graph(posters.rows, bench_models.vlm,
+        return populate_scene_graph(posters.rows, bench_models,
                                     lineage=lineage, parent_lid=parent)
 
     scene = benchmark(populate)

@@ -16,7 +16,7 @@ def test_table2_text_graph_population(benchmark, bench_corpus, bench_models):
     def populate():
         lineage = LineageStore()
         parent = lineage.record_source("file://data/mmqa/film_plot.json")
-        return populate_text_graph(plots.rows, bench_models.ner,
+        return populate_text_graph(plots.rows, bench_models,
                                    lineage=lineage, parent_lid=parent)
 
     text = benchmark(populate)

@@ -85,18 +85,13 @@ class KathDBService(RequestFrontend):
         # The model gateway fronts all foundation-model traffic from service
         # sessions (and corpus population): shared exact/semantic caching,
         # in-flight coalescing, micro-batching, and admission control.
-        gateway_config = self.config.gateway_config()
-        self.gateway_store = (self._build_gateway_store()
-                              if gateway_config is not None else None)
-        self.gateway: Optional[ModelGateway] = (
-            ModelGateway(gateway_config, metrics=self.metrics,
-                         store=self.gateway_store)
-            if gateway_config is not None else None)
-        populator_models = (
-            self.gateway.route(self.models, "loader", quota_exempt=True)
-            if self.gateway is not None else self.models)
-        self.populator = ViewPopulator(populator_models, self.catalog, self.lineage,
-                                       batch_size=self.config.effective_batch_size())
+        self.gateway_store = self._build_gateway_store()
+        self.gateway = ModelGateway(self.config.gateway_config(),
+                                    metrics=self.metrics, store=self.gateway_store)
+        self.populator = ViewPopulator(
+            self.gateway.route(self.models, "loader", quota_exempt=True),
+            self.catalog, self.lineage,
+            batch_size=self.config.effective_batch_size())
         self.profile_cache = (
             ProfileCache(path=self.config.profile_cache_path,
                          backend=(self.skill_store.backend
@@ -115,8 +110,7 @@ class KathDBService(RequestFrontend):
         # The legacy stats surfaces stay API-compatible as registry views:
         # gateway_stats()/skill_stats() read *through* the registry, so one
         # store owns every number the service reports.
-        if self.gateway is not None:
-            self.metrics.register_view("gateway", self.gateway.flat_stats)
+        self.metrics.register_view("gateway", self.gateway.flat_stats)
         if self.skill_store is not None:
             self.metrics.register_view("skills", self.skill_store.stats)
         if self.prepared is not None:
@@ -176,8 +170,7 @@ class KathDBService(RequestFrontend):
         # documents with the previous corpus re-uses their results.
         # (Prepared plans are cleared after population, below, once the new
         # catalog fingerprint is final.)
-        if self.gateway is not None:
-            self.gateway.clear(volatile_only=True)
+        self.gateway.clear(volatile_only=True)
         self.population_report = self.populator.load_corpus(corpus,
                                                             populate_views=populate_views)
         self.invalidate_prepared()
@@ -270,8 +263,7 @@ class KathDBService(RequestFrontend):
                 return
             self._closed = True
         self.scheduler.shutdown(wait=True)
-        if self.gateway is not None:
-            self.gateway.close()
+        self.gateway.close()
         if self.skill_store is not None:
             self.skill_store.close()
         if self._trace_sink is not None:
@@ -335,7 +327,7 @@ class KathDBService(RequestFrontend):
 
     def gateway_stats(self, window_s: Optional[float] = None,
                       session_id: Optional[str] = None) -> Dict[str, object]:
-        """Headline model-gateway counters (empty when the gateway is off).
+        """Headline model-gateway counters.
 
         ``window_s`` additionally attaches a ``windowed`` entry with the
         rolling counters and rates over the last that-many seconds — the
@@ -345,8 +337,6 @@ class KathDBService(RequestFrontend):
         counters and the windowed block (when requested) covers only the
         events its calls produced — the per-tenant view for quota tuning.
         """
-        if self.gateway is None:
-            return {}
         stats: Dict[str, object]
         if session_id is not None:
             stats = dict(self.gateway.session_counters(session_id) or {})
@@ -370,8 +360,7 @@ class KathDBService(RequestFrontend):
                  self.scheduler.describe()]
         if self.prepared is not None:
             lines.append(self.prepared.describe())
-        if self.gateway is not None:
-            lines.append(self.gateway.describe())
+        lines.append(self.gateway.describe())
         if self.skill_store is not None:
             lines.append(self.skill_store.describe())
         query_latency = self.metrics.histogram("latency_ms.query")

@@ -61,13 +61,11 @@ class Session:
             # shared one); keep its historical direct accounting un-routed.
             self.models = models
         else:
-            self.models = service.models.fork()
-            if service.gateway is not None:
-                # Route the fork through the shared gateway: identical calls
-                # across sessions are cached/coalesced/batched service-wide
-                # while misses still charge this session's private meter.
-                self.models = self.models.routed(service.gateway, session_id,
-                                                 tenant_id=self.tenant)
+            # Route the fork through the shared gateway: identical calls
+            # across sessions are cached/coalesced/batched service-wide
+            # while misses still charge this session's private meter.
+            self.models = service.models.fork().routed(
+                service.gateway, session_id, tenant_id=self.tenant)
         # ``or`` would discard an *empty* store (LineageStore is sized, and a
         # fresh one is falsy), so test for None explicitly.
         self.lineage = lineage if lineage is not None else ScopedLineageStore(service.lineage)

@@ -376,9 +376,7 @@ def run_batch(args: argparse.Namespace, query: str, output) -> int:
             print("skill store: " + ", ".join(f"{k}={v}" for k, v in stats.items()),
                   file=output)
     if args.gateway_stats:
-        if service.gateway is None:
-            print("model gateway: disabled", file=output)
-        elif isinstance(args.gateway_stats, str):
+        if isinstance(args.gateway_stats, str):
             # Per-session view: that session's cumulative counters plus the
             # last-60s window scoped to its own events.
             session_id = args.gateway_stats

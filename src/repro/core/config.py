@@ -62,11 +62,10 @@ class KathDBConfig:
     skill_retrieval_threshold: float = 0.9
     # Vectorized execution: batchable FAO bodies and the view populators
     # collect per-row model inputs into column vectors and issue one batched
-    # call per chunk of this many rows (sub-linear token cost; results are
-    # bit-identical to the serial path).  Disabling restores row-at-a-time
-    # model access everywhere.
+    # call per chunk of the gateway's ``max_batch`` rows (sub-linear token
+    # cost; results are bit-identical to the serial path).  Disabling
+    # restores row-at-a-time model access everywhere.
     enable_vectorized_execution: bool = True
-    vectorized_batch_size: int = 32
     # Parser interaction modes.
     proactive_clarification: bool = True
     reactive_correction: bool = True
@@ -89,10 +88,9 @@ class KathDBConfig:
     # this factor (like a real network-bound model call would), so concurrency
     # benchmarks measure genuine overlap rather than GIL contention.
     simulate_model_latency: float = 0.0
-    # Model gateway: the shared front door for all foundation-model traffic
-    # (service sessions only; the legacy single-user facade keeps its
+    # Model gateway: the shared front door for all service foundation-model
+    # traffic (the legacy single-user facade's default session keeps its
     # historical direct accounting).  See src/repro/gateway/.
-    enable_model_gateway: bool = True
     # Exact-match result cache (and the semantic tier riding on it).
     enable_model_cache: bool = True
     gateway_cache_entries: int = 4096
@@ -167,8 +165,6 @@ class KathDBConfig:
             raise KathDBError("prepared_cache_size must be at least 1")
         if self.simulate_model_latency < 0:
             raise KathDBError("simulate_model_latency must be non-negative")
-        if self.vectorized_batch_size < 1:
-            raise KathDBError("vectorized_batch_size must be at least 1")
         if self.gateway_cache_entries < 1:
             raise KathDBError("gateway_cache_entries must be at least 1")
         if self.gateway_cache_path is not None and self.gateway_cache_backend == "memory":
@@ -225,22 +221,15 @@ class KathDBConfig:
     def effective_batch_size(self) -> int:
         """The vectorization chunk size execution should use (1 = serial).
 
-        Clamped to the gateway's ``max_batch`` when the gateway is on: the
-        batch client re-chunks at that bound anyway, and the optimizer's setup
-        pricing must count the same number of chunks execution will pay for.
+        The gateway's ``max_batch``: the batch client chunks at that bound,
+        and the optimizer's setup pricing must count the same number of
+        chunks execution will pay for.
         """
-        if not self.enable_vectorized_execution:
-            return 1
-        if self.enable_model_gateway:
-            from repro.gateway.gateway import GatewayConfig
-            return min(self.vectorized_batch_size, GatewayConfig.max_batch)
-        return self.vectorized_batch_size
+        from repro.gateway.gateway import GatewayConfig
+        return GatewayConfig.max_batch if self.enable_vectorized_execution else 1
 
     def gateway_config(self):
-        """The :class:`~repro.gateway.gateway.GatewayConfig` these knobs imply,
-        or None when the gateway is disabled."""
-        if not self.enable_model_gateway:
-            return None
+        """The :class:`~repro.gateway.gateway.GatewayConfig` these knobs imply."""
         from repro.gateway.gateway import GatewayConfig
         window = self.gateway_batch_window_s
         if window is None:

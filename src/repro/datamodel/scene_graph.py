@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
 from repro.datamodel.lineage import LineageStore
-from repro.models.vlm import SimulatedVLM
+from repro.models.base import ModelSuite
 from repro.relational.schema import Column, Schema
 from repro.relational.table import Table
 from repro.relational.types import DataType
@@ -92,7 +92,7 @@ class SceneGraphTables:
         return [row["cid"] for row in self.objects_for(vid, fid)]
 
 
-def populate_scene_graph(poster_rows: Iterable[Dict[str, object]], vlm: SimulatedVLM,
+def populate_scene_graph(poster_rows: Iterable[Dict[str, object]], models: ModelSuite,
                          lineage: Optional[LineageStore] = None,
                          parent_lid: Optional[int] = None,
                          func_id: str = "populate_scene_graph",
@@ -107,18 +107,19 @@ def populate_scene_graph(poster_rows: Iterable[Dict[str, object]], vlm: Simulate
     poster_rows:
         Rows containing an image payload column (``image``) and an id column
         (``movie_id``), typically the ``poster_images`` base relation.
-    vlm:
-        The vision model that extracts objects/relationships.
+    models:
+        The model suite whose VLM extracts objects/relationships.
     lineage:
         When provided, each emitted row gets a row-level lineage entry whose
         parent is ``parent_lid`` (the poster table's lid) -- view population is
         a ``one_to_many`` function in the paper's taxonomy.
     batch_size:
         Scene-graph extraction is issued as one batched VLM call per this
-        many posters (sub-linear token cost through the model's
-        ``extract_scene_graph_batch`` planner, gateway-aware when the VLM is
-        routed).  ``1`` restores the serial row-at-a-time path.  Emitted
-        rows — and their lineage entries — are identical either way.
+        many posters (sub-linear token cost through
+        :meth:`~repro.models.base.ModelSuite.call_many`, gateway-aware when
+        the suite is routed).  ``1`` restores the serial row-at-a-time
+        path.  Emitted rows — and their lineage entries — are identical
+        either way.
     """
     objects = Table("image_objects", Schema(list(OBJECTS_SCHEMA.columns)),
                     description="Scene-graph objects extracted from posters (Table 1).")
@@ -138,14 +139,12 @@ def populate_scene_graph(poster_rows: Iterable[Dict[str, object]], vlm: Simulate
 
     rows = [row for row in poster_rows if row.get(image_column) is not None]
     batch_size = max(1, int(batch_size))
-    vectorized = batch_size > 1 and hasattr(vlm, "extract_scene_graph_batch")
-    graphs: List[Dict[str, object]] = []
-    if vectorized:
-        for start in range(0, len(rows), batch_size):
-            graphs.extend(vlm.extract_scene_graph_batch(
-                [row[image_column] for row in rows[start:start + batch_size]]))
+    if batch_size > 1:
+        graphs = models.call_many("vlm", "extract_scene_graph",
+                                  [((row[image_column],), {}) for row in rows],
+                                  batch_size=batch_size)
     else:
-        graphs = [vlm.extract_scene_graph(row[image_column]) for row in rows]
+        graphs = [models.vlm.extract_scene_graph(row[image_column]) for row in rows]
 
     for row, graph in zip(rows, graphs):
         vid = row.get(id_column)

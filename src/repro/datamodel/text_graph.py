@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
 from repro.datamodel.lineage import LineageStore
-from repro.models.ner import EntityExtractor
+from repro.models.base import ModelSuite
 from repro.relational.schema import Column, Schema
 from repro.relational.table import Table
 from repro.relational.types import DataType
@@ -99,7 +99,7 @@ class TextGraphTables:
         return [row["canonical"] for row in self.entities_for(did, "event")]
 
 
-def populate_text_graph(document_rows: Iterable[Dict[str, object]], extractor: EntityExtractor,
+def populate_text_graph(document_rows: Iterable[Dict[str, object]], models: ModelSuite,
                         lineage: Optional[LineageStore] = None,
                         parent_lid: Optional[int] = None,
                         func_id: str = "populate_text_graph",
@@ -114,9 +114,10 @@ def populate_text_graph(document_rows: Iterable[Dict[str, object]], extractor: E
     ids are made corpus-unique by offsetting the extractor's document-local
     ids.
 
-    Extraction is issued as one batched NER call per ``batch_size`` documents
-    (sub-linear token cost through ``extract_batch``, gateway-aware when the
-    extractor is routed); ``1`` restores the serial path.  Emitted rows — and
+    Extraction is issued as one batched call to the suite's NER model per
+    ``batch_size`` documents (sub-linear token cost through
+    :meth:`~repro.models.base.ModelSuite.call_many`, gateway-aware when the
+    suite is routed); ``1`` restores the serial path.  Emitted rows — and
     their lineage entries — are identical either way.
     """
     entities = Table("text_entities", Schema(list(ENTITIES_SCHEMA.columns)),
@@ -140,13 +141,12 @@ def populate_text_graph(document_rows: Iterable[Dict[str, object]], extractor: E
     rows = list(document_rows)
     documents = [row.get(text_column) or "" for row in rows]
     batch_size = max(1, int(batch_size))
-    if batch_size > 1 and hasattr(extractor, "extract_batch"):
-        extractions = []
-        for start in range(0, len(documents), batch_size):
-            extractions.extend(
-                extractor.extract_batch(documents[start:start + batch_size]))
+    if batch_size > 1:
+        extractions = models.call_many("ner", "extract",
+                                       [((text,), {}) for text in documents],
+                                       batch_size=batch_size)
     else:
-        extractions = [extractor.extract(text) for text in documents]
+        extractions = [models.ner.extract(text) for text in documents]
 
     entity_id_offset = 0
     mention_id_offset = 0

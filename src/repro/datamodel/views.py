@@ -92,13 +92,13 @@ class ViewPopulator:
     def populate_scene_views(self, poster_table: Table,
                              parent_lid: Optional[int] = None) -> SceneGraphTables:
         """Materialize the image scene-graph views from a poster table."""
-        return populate_scene_graph(poster_table.rows, self.models.vlm,
+        return populate_scene_graph(poster_table.rows, self.models,
                                     lineage=self.lineage, parent_lid=parent_lid,
                                     batch_size=self.batch_size)
 
     def populate_text_views(self, plot_table: Table,
                             parent_lid: Optional[int] = None) -> TextGraphTables:
         """Materialize the text semantic-graph views from a plot table."""
-        return populate_text_graph(plot_table.rows, self.models.ner,
+        return populate_text_graph(plot_table.rows, self.models,
                                    lineage=self.lineage, parent_lid=parent_lid,
                                    batch_size=self.batch_size)

@@ -141,12 +141,6 @@ def _extend_table_rows(source: Table, output_name: str,
                          lambda row: next(values))
 
 
-def _chunks(count: int, size: int):
-    """Yield ``range`` slices covering ``count`` rows in ``size`` chunks."""
-    for start in range(0, count, size):
-        yield start, min(count, start + size)
-
-
 # ---------------------------------------------------------------------------
 # Implementation specs
 # ---------------------------------------------------------------------------
@@ -415,17 +409,14 @@ class ImplementationLibrary:
             node_keywords = list(context.parameters.get("keywords") or keywords)
             chunk = _batch_size(context)
 
-            if chunk > 1 and hasattr(embeddings, "match_fraction_batch"):
+            if chunk > 1:
                 # Vectorized: one column of per-row term lists, one batched
                 # match-density call per chunk.  Bit-identical to the serial
                 # path (deterministic embeddings), sub-linear token cost.
-                rows = list(source)
-                scores: List[float] = []
-                for start, stop in _chunks(len(rows), chunk):
-                    scores.extend(embeddings.match_fraction_batch(
-                        node_keywords,
-                        [row.get("entity_terms") or [] for row in rows[start:stop]],
-                        purpose=node.name))
+                scores = context.models.call_many(
+                    "embeddings", "match_fraction",
+                    [((node_keywords, row.get("entity_terms") or []),
+                      {"purpose": node.name}) for row in source], batch_size=chunk)
                 computed = [{score_column: round(float(score), 6)}
                             for score in scores]
                 return _extend_table_rows(source, node.output,
@@ -611,7 +602,7 @@ class ImplementationLibrary:
             vlm = context.models.vlm
             chunk = _batch_size(context)
 
-            if chunk > 1 and hasattr(vlm, "answer_visual_question_batch"):
+            if chunk > 1:
                 # Vectorized: one batched visual-question call per chunk of
                 # rows that have a poster; rows without one keep the serial
                 # path's NULL outcome.
@@ -620,13 +611,12 @@ class ImplementationLibrary:
                     {score_column: None, flag_column: None} for _ in rows]
                 with_image = [i for i, row in enumerate(rows)
                               if image_by_movie.get(row.get("movie_id")) is not None]
-                for start, stop in _chunks(len(with_image), chunk):
-                    indexes = with_image[start:stop]
-                    answers = vlm.answer_visual_question_batch(
-                        [image_by_movie[rows[i].get("movie_id")] for i in indexes],
-                        question, purpose=node.name)
-                    for i, answer in zip(indexes, answers):
-                        computed[i] = outcome(answer)
+                answers = context.models.call_many(
+                    "vlm", "answer_visual_question",
+                    [((image_by_movie[rows[i].get("movie_id")], question),
+                      {"purpose": node.name}) for i in with_image], batch_size=chunk)
+                for i, answer in zip(with_image, answers):
+                    computed[i] = outcome(answer)
                 return _extend_table_rows(
                     source, node.output,
                     [(score_column, DataType.FLOAT), (flag_column, DataType.BOOLEAN)],
@@ -701,7 +691,7 @@ class ImplementationLibrary:
                         max(answer["confidence"], 0.99))
 
             chunk = _batch_size(context)
-            if chunk > 1 and hasattr(vlm, "answer_visual_question_batch"):
+            if chunk > 1:
                 # Vectorized cascade: the cheap stage is model-free, so it
                 # runs over every row first; only the uncertain rows (cheap
                 # confidence below the threshold) escalate, and their VLM
@@ -719,16 +709,15 @@ class ImplementationLibrary:
                            if image_by_movie.get(rows[i].get("movie_id")) is not None]
                 # Escalated rows without a poster keep the cheap answer —
                 # exactly expensive_stage's missing-image fallback.
-                for start, stop in _chunks(len(pending), chunk):
-                    indexes = pending[start:stop]
-                    answers = vlm.answer_visual_question_batch(
-                        [image_by_movie[rows[i].get("movie_id")] for i in indexes],
-                        question, purpose=node.name)
-                    for i, answer in zip(indexes, answers):
-                        score = answer["boring_score"] if "boring" in concept \
-                            else 1.0 - answer["boring_score"]
-                        computed[i] = {score_column: round(float(score), 6),
-                                       flag_column: bool(answer["answer"])}
+                answers = context.models.call_many(
+                    "vlm", "answer_visual_question",
+                    [((image_by_movie[rows[i].get("movie_id")], question),
+                      {"purpose": node.name}) for i in pending], batch_size=chunk)
+                for i, answer in zip(pending, answers):
+                    score = answer["boring_score"] if "boring" in concept \
+                        else 1.0 - answer["boring_score"]
+                    computed[i] = {score_column: round(float(score), 6),
+                                   flag_column: bool(answer["answer"])}
                 return _extend_table_rows(
                     source, node.output,
                     [(score_column, DataType.FLOAT), (flag_column, DataType.BOOLEAN)],
@@ -923,14 +912,14 @@ class ImplementationLibrary:
                     column = parameters.get("score_column", "semantic_score")
                     keywords = list(parameters.get("keywords") or [])
                     term_lists = [terms or [] for terms in _column_of("entity_terms")]
-                    if chunk > 1 and hasattr(embeddings, "match_fraction_batch"):
-                        # Batched match-density calls over the whole column
-                        # (the PR-4 funnel): bit-identical scores, sub-linear
-                        # token cost versus one call per row.
-                        scores: List[float] = []
-                        for start, stop in _chunks(length, chunk):
-                            scores.extend(embeddings.match_fraction_batch(
-                                keywords, term_lists[start:stop], purpose=node.name))
+                    if chunk > 1:
+                        # Batched match-density calls over the whole column:
+                        # bit-identical scores, sub-linear token cost versus
+                        # one call per row.
+                        scores = context.models.call_many(
+                            "embeddings", "match_fraction",
+                            [((keywords, terms), {"purpose": node.name})
+                             for terms in term_lists], batch_size=chunk)
                         values = [round(float(score), 6) for score in scores]
                     else:
                         values = [round(float(embeddings.match_fraction(

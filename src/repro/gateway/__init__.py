@@ -1,7 +1,8 @@
 """The model gateway: shared cache, coalescing, batching, admission.
 
 See :mod:`repro.gateway.gateway` for the tier stack,
-:mod:`repro.gateway.proxy` for how model suites are routed through it, and
+:mod:`repro.gateway.proxy` for how a model's declared calls are routed
+through it, and
 :mod:`repro.gateway.vectorized` for the funnel every call goes through.
 """
 
@@ -17,8 +18,8 @@ from repro.gateway.gateway import (
     SessionCounters,
     SessionGatewayClient,
 )
-from repro.gateway.proxy import is_routed, route_suite
-from repro.gateway.semantic import SEMANTIC_METHODS, SEMANTIC_MODES, SemanticNearCache
+from repro.gateway.proxy import GatewayModelProxy
+from repro.gateway.semantic import SEMANTIC_MODES, SemanticNearCache
 from repro.gateway.vectorized import GatewayBatchClient
 
 __all__ = [
@@ -29,18 +30,16 @@ __all__ = [
     "GatewayBatchClient",
     "KindBatchStats",
     "GatewayConfig",
+    "GatewayModelProxy",
     "LSHIndex",
     "MicroBatcher",
     "ModelGateway",
     "RequestCoalescer",
     "RequestKey",
-    "SEMANTIC_METHODS",
     "SEMANTIC_MODES",
     "SemanticNearCache",
     "SessionCounters",
     "SessionGatewayClient",
     "canonicalize",
-    "is_routed",
     "request_key",
-    "route_suite",
 ]

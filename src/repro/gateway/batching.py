@@ -33,15 +33,14 @@ import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence
 
 from repro.gateway.admission import AdmissionController
 from repro.models.batching import (
     BatchMember,
-    BatchPlan,
     MemberOutcome,
-    metered_call,
     plan_batch,
+    record_shares,
 )
 
 
@@ -93,33 +92,17 @@ def metered_outcome(member: BatchMember) -> MemberOutcome:
     does for batched members.
     """
     outcome = MemberOutcome()
+    meter = getattr(member.model, "cost_meter", None)
+    marker = meter.snapshot() if meter is not None else 0
     try:
-        outcome.result, cost = metered_call(member.model, member.method,
-                                            member.args, member.kwargs)
+        outcome.result = getattr(member.model, member.method)(
+            *member.args, **member.kwargs)
     except Exception as error:  # noqa: BLE001 - delivered to the caller
         outcome.error = error
         return outcome
+    cost = meter.tokens_since(marker) if meter is not None else 0
     outcome.serial_prompt = outcome.charge_prompt = cost
     return outcome
-
-
-def _record_shares(members: Sequence[BatchMember], plan: BatchPlan) -> None:
-    """Charge each cost meter in the chunk its members' summed shares."""
-    by_meter: Dict[int, List[Tuple[BatchMember, MemberOutcome]]] = {}
-    for member, outcome in zip(members, plan.outcomes):
-        meter = getattr(member.model, "cost_meter", None)
-        if outcome.error is None and meter is not None:
-            by_meter.setdefault(id(meter), []).append((member, outcome))
-    for group in by_meter.values():
-        first = group[0][0]
-        first.model.cost_meter.record_batched(
-            getattr(first.model, "name", type(first.model).__name__),
-            first.purpose,
-            sum(outcome.charge_prompt for _, outcome in group),
-            sum(outcome.charge_completion for _, outcome in group),
-            batch_size=plan.size, members=len(group),
-            serial_tokens=sum(outcome.serial_tokens for _, outcome in group),
-            latency_s=sum(outcome.latency_share_s for _, outcome in group))
 
 
 class MicroBatcher:
@@ -154,7 +137,7 @@ class MicroBatcher:
                 outcomes = [metered_outcome(members[0])]
             else:
                 plan = plan_batch(members)
-                _record_shares(members, plan)
+                record_shares(members, plan)
                 outcomes, saved = plan.outcomes, plan.tokens_saved
         size = len(members)
         with self._lock:

@@ -22,6 +22,8 @@ The stack is written once, in the funnel
 Sessions talk to the gateway through a :class:`SessionGatewayClient`, which
 carries the session identity (for quota enforcement and per-session
 counters) and is what the model proxies in :mod:`repro.gateway.proxy` hold.
+Its :meth:`~SessionGatewayClient.invoke_many` is where a routed suite's
+:meth:`~repro.models.base.ModelSuite.call_many` enters the funnel.
 
 Token accounting is strictly *pay-for-your-misses*: an executing call
 charges the executing session's own cost meter (the models already do this);
@@ -34,10 +36,11 @@ tallied as ``batch_tokens_saved``.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.gateway.admission import AdmissionController
 from repro.gateway.batching import MicroBatcher
@@ -46,8 +49,10 @@ from repro.gateway.coalesce import RequestCoalescer
 # Re-exported: benchmarks/e2e re-binds every module's from-import of the
 # fingerprint functions when it installs its probes, and checks this one.
 from repro.gateway.fingerprint import canonicalize  # noqa: F401
+from repro.gateway.proxy import GatewayModelProxy
 from repro.gateway.semantic import SemanticNearCache
 from repro.gateway.vectorized import GatewayBatchClient
+from repro.models.base import MODEL_KINDS
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -137,10 +142,18 @@ class SessionGatewayClient:
     def invoke(self, model: Any, method: str, args: Tuple[Any, ...],
                kwargs: Optional[Dict[str, Any]] = None, *,
                batchable: bool = False,
-               semantic_terms: Optional[Tuple[Any, Any]] = None) -> Any:
+               semantic_terms_of: Optional[Callable[..., Any]] = None) -> Any:
         return self.gateway.invoke(self, model, method, args, kwargs or {},
                                    batchable=batchable,
-                                   semantic_terms=semantic_terms)
+                                   semantic_terms_of=semantic_terms_of)
+
+    def invoke_many(self, model: Any, method: str,
+                    calls: Sequence[Tuple[Tuple[Any, ...], Dict[str, Any]]], *,
+                    semantic_terms_of: Optional[Callable[..., Any]] = None
+                    ) -> List[Any]:
+        """A vector of calls through the funnel (:class:`GatewayBatchClient`)."""
+        return GatewayBatchClient(self).invoke(model, method, calls,
+                                               semantic_terms_of=semantic_terms_of)
 
     def spent(self) -> int:
         """Tokens this client's tenant has been charged through the gateway."""
@@ -249,27 +262,34 @@ class ModelGateway:
 
     def route(self, suite, session_id: str, quota_exempt: bool = False,
               tenant_id: Optional[str] = None):
-        """A view of ``suite`` whose models call through this gateway.
+        """A copy of ``suite`` whose models call through this gateway.
 
-        Convenience wrapper over :func:`repro.gateway.proxy.route_suite`.
+        The copy shares the suite's cost meter and lexicon; each model is
+        wrapped in a :class:`~repro.gateway.proxy.GatewayModelProxy`.
         ``quota_exempt`` is for service-internal traffic and registers the
         client under the reserved internal namespace.  ``tenant_id`` keys
-        the client's quota ledger (default: the session id).
+        the client's quota ledger (default: the session id).  Routing an
+        already-routed suite returns it as is.
         """
-        from repro.gateway.proxy import route_suite
+        if suite.gateway_client is not None:
+            return suite
         client = (self.internal_client(session_id) if quota_exempt
                   else self.client(session_id, tenant_id=tenant_id))
-        return route_suite(suite, client)
+        return dataclasses.replace(
+            suite, gateway_client=client,
+            **{kind: GatewayModelProxy(getattr(suite, kind), client)
+               for kind in MODEL_KINDS})
 
     # -- the funnel -----------------------------------------------------------------
     def invoke(self, client: SessionGatewayClient, model: Any, method: str,
                args: Tuple[Any, ...], kwargs: Dict[str, Any], *,
                batchable: bool = False,
-               semantic_terms: Optional[Tuple[Any, Any]] = None) -> Any:
+               semantic_terms_of: Optional[Callable[..., Any]] = None) -> Any:
         """Answer one model call: a one-call vector through the funnel.
 
-        ``semantic_terms`` is the (query_terms, candidate_terms) pair for
-        predicate methods eligible for the near-match tier; None otherwise.
+        ``semantic_terms_of(args, kwargs)`` gives the (query_terms,
+        candidate_terms) pair of a predicate eligible for the near-match
+        tier; None otherwise.
 
         The funnel (:meth:`GatewayBatchClient.invoke`) records one
         ``model``-kind span for the call on the *calling* session's active
@@ -280,8 +300,7 @@ class ModelGateway:
         """
         return GatewayBatchClient(client).invoke(
             model, method, [(args, kwargs)], batchable=batchable,
-            semantic_terms_of=(None if semantic_terms is None
-                               else lambda _args, _kwargs: semantic_terms))[0]
+            semantic_terms_of=semantic_terms_of)[0]
 
     # -- observability --------------------------------------------------------------
     def note_event(self, kind: str, requests: int, tokens: int,

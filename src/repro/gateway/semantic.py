@@ -53,9 +53,6 @@ import numpy as np
 from repro.gateway.ann import LSHIndex
 from repro.models.embeddings import EmbeddingModel, cosine_similarity
 
-#: Embedding-model methods eligible for near-match reuse.
-SEMANTIC_METHODS = ("match_fraction", "aggregate_similarity", "max_similarity")
-
 #: Recognised lookup modes (the config layer adds "off" on top).
 SEMANTIC_MODES = ("linear", "ann")
 

@@ -82,9 +82,9 @@ class GatewayBatchClient:
         """Answer a homogeneous vector of calls on one (un-routed) model.
 
         Results are element-wise identical to serial execution, in call
-        order.  A member failure propagates after the members that did
-        execute are billed — exactly as a serial loop would have paid for
-        the calls before the faulty one.
+        order.  Every member of an executing chunk runs and every member
+        that succeeds is billed; then the first member error is raised.
+        (A serial loop would instead stop at the first failure.)
 
         ``semantic_terms_of(args, kwargs)`` marks calls eligible for the
         semantic near-match tier: when the tier is enabled, every

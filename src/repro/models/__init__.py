@@ -21,11 +21,15 @@ that exposes the same *interface* and charges realistic token costs:
 * :class:`~repro.models.cost.CostMeter` -- token and latency accounting shared
   by everything above; this is what the cost-based optimizer reads.
 
+Each model declares its charged methods once, as
+:class:`~repro.models.calls.CallSpec` entries in its ``CALLS`` table.
+
 See DESIGN.md ("Substitutions") for why this preserves the paper's behaviour.
 """
 
 from repro.models.cost import BatchedModelCall, CostMeter, ModelCall
-from repro.models.batching import BatchMember, BatchPlan, plan_batch, run_model_batch
+from repro.models.batching import BatchMember, BatchPlan, plan_batch
+from repro.models.calls import CallSpec
 from repro.models.lexicon import Lexicon, DEFAULT_LEXICON
 from repro.models.embeddings import EmbeddingModel, cosine_similarity
 from repro.models.llm import SimulatedLLM
@@ -43,7 +47,7 @@ __all__ = [
     "BatchMember",
     "BatchPlan",
     "plan_batch",
-    "run_model_batch",
+    "CallSpec",
     "Lexicon",
     "DEFAULT_LEXICON",
     "EmbeddingModel",

@@ -5,17 +5,22 @@ and the cheaper physical alternatives (pixel detector, OCR), all sharing one
 cost meter and one lexicon.  :class:`ModelSuite` wires them together so the
 rest of the system takes a single dependency.
 
-The batchable members (``embeddings``, ``ner``, ``detector``, ``ocr``)
-expose true ``*_batch()`` entry points with sub-linear token cost (see
-:mod:`repro.models.batching`); the gateway's micro-batcher dispatches
-through the same machinery.
+Each model declares its charged methods once, as a ``CALLS`` table of
+:class:`~repro.models.calls.CallSpec`.  A serial call is a plain method
+call on the suite's model; a vector of same-method calls goes through one
+entry, :meth:`ModelSuite.call_many`, which answers it as batched
+invocations with sub-linear token cost (see :mod:`repro.models.batching`)
+on either route: through the gateway funnel on a routed suite, directly on
+the model's own meter otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, List, Optional, Sequence
 
+from repro.models.batching import run_model_batch
+from repro.models.calls import Call, spec_of
 from repro.models.cost import CostMeter
 from repro.models.detector import PixelObjectDetector
 from repro.models.embeddings import EmbeddingModel
@@ -24,6 +29,9 @@ from repro.models.llm import SimulatedLLM
 from repro.models.ner import EntityExtractor
 from repro.models.ocr import OCRTextExtractor
 from repro.models.vlm import SimulatedVLM
+
+#: The suite attributes that hold a model (what routing wraps).
+MODEL_KINDS = ("llm", "vlm", "embeddings", "ner", "detector", "ocr")
 
 
 @dataclass
@@ -103,16 +111,40 @@ class ModelSuite:
 
     def routed(self, gateway, session_id: str,
                tenant_id: Optional[str] = None) -> "ModelSuite":
-        """A view of this suite whose models call through a shared gateway.
-
-        The view shares this suite's cost meter and lexicon — accounting and
-        clarifications are unchanged — but every charged model entry point is
-        wrapped in a gateway proxy, so identical requests from concurrent
-        sessions are cached, coalesced, and micro-batched service-wide.
-        ``tenant_id`` keys the gateway quota ledger (default: the session
-        id).  Routing an already-routed suite returns it unchanged.
+        """A view of this suite whose declared calls go through a shared
+        gateway (see :meth:`repro.gateway.gateway.ModelGateway.route`), so
+        identical requests from concurrent sessions are cached, coalesced,
+        and micro-batched service-wide.  ``tenant_id`` keys the gateway
+        quota ledger (default: the session id).
         """
         return gateway.route(self, session_id, tenant_id=tenant_id)
+
+    def call_many(self, kind: str, method: str, calls: Sequence[Call],
+                  batch_size: Optional[int] = None) -> List[Any]:
+        """Answer ``(args, kwargs)`` calls to one declared method of one model.
+
+        Results equal serial calls', in order, and each member shares the
+        equal serial call's request key.  The calls go out ``batch_size`` at
+        a time (default: all at once).  A routed suite answers each batch
+        through the gateway funnel; a direct one runs it as one batched
+        invocation on the model's own meter.  Either way every member of a
+        batch executes and is billed before its first member error is raised.
+        """
+        model = getattr(self, kind)
+        client = self.gateway_client
+        if client is not None:
+            model = model.wrapped
+        spec = spec_of(model, method)
+        built = [spec.build(model, args, kwargs) for args, kwargs in calls]
+        step = batch_size or max(1, len(built))
+        results: List[Any] = []
+        for start in range(0, len(built), step):
+            batch = built[start:start + step]
+            results.extend(
+                run_model_batch(model, method, batch) if client is None else
+                client.invoke_many(model, method, batch,
+                                   semantic_terms_of=spec.semantic_terms))
+        return results
 
     def reset_costs(self) -> None:
         """Clear the shared cost meter."""

@@ -17,10 +17,11 @@ the simulated models without touching their serial semantics:
 * the total is split back across members proportionally to their serial
   price, so every session still pays its fair share.
 
-:func:`run_model_batch` is the direct (single-meter) entry point backing the
-models' public ``*_batch()`` methods; the gateway's one executor
-(:meth:`repro.gateway.batching.MicroBatcher.execute`) uses :func:`plan_batch`
-itself and records one summed share per member cost meter.
+:func:`run_model_batch` is the direct (single-meter) executor behind
+:meth:`repro.models.base.ModelSuite.call_many` on an un-routed suite; the
+gateway's one executor (:meth:`repro.gateway.batching.MicroBatcher.execute`)
+uses :func:`plan_batch` itself.  Both bill through :func:`record_shares`:
+one summed share per member cost meter.
 """
 
 from __future__ import annotations
@@ -217,32 +218,38 @@ def plan_batch(members: Sequence[BatchMember]) -> BatchPlan:
     return plan
 
 
-def metered_call(model: Any, method: str, args: Tuple[Any, ...],
-                 kwargs: Dict[str, Any]) -> Tuple[Any, int]:
-    """Run one serial call and return ``(result, tokens it charged)``.
-
-    The single per-call metering pattern shared by the gateway's
-    non-batchable execution path and the micro-batcher's chunk-of-one path:
-    the model charges its own meter exactly as an un-routed call would.
-    """
-    meter = getattr(model, "cost_meter", None)
-    marker = meter.snapshot() if meter is not None else 0
-    result = getattr(model, method)(*args, **kwargs)
-    cost = meter.tokens_since(marker) if meter is not None else 0
-    return result, cost
+def record_shares(members: Sequence[BatchMember], plan: BatchPlan) -> None:
+    """Charge each cost meter in a batch its members' summed shares, as one
+    :class:`~repro.models.cost.BatchedModelCall` per meter."""
+    by_meter: Dict[int, List[Tuple[BatchMember, MemberOutcome]]] = {}
+    for member, outcome in zip(members, plan.outcomes):
+        meter = getattr(member.model, "cost_meter", None)
+        if outcome.error is None and meter is not None:
+            by_meter.setdefault(id(meter), []).append((member, outcome))
+    for group in by_meter.values():
+        first = group[0][0]
+        first.model.cost_meter.record_batched(
+            getattr(first.model, "name", type(first.model).__name__),
+            first.purpose,
+            sum(outcome.charge_prompt for _, outcome in group),
+            sum(outcome.charge_completion for _, outcome in group),
+            batch_size=plan.size, members=len(group),
+            serial_tokens=sum(outcome.serial_tokens for _, outcome in group),
+            latency_s=sum(outcome.latency_share_s for _, outcome in group))
 
 
 def run_model_batch(model: Any, method: str,
-                    calls: Sequence[Tuple[Tuple[Any, ...], Dict[str, Any]]],
-                    purpose: Optional[str] = None) -> List[Any]:
+                    calls: Sequence[Tuple[Tuple[Any, ...], Dict[str, Any]]]) -> List[Any]:
     """Run many same-method calls on one model as a single batched invocation.
 
-    This is the direct entry point behind the models' public ``*_batch()``
-    methods: one :class:`~repro.models.cost.BatchedModelCall` covering the
-    whole batch lands on the model's own meter, priced by the sub-linear
-    formula.  Any member failure propagates, but — exactly as a serial loop
-    would — the members that *did* execute are still billed first.  An
-    empty ``calls`` is a free no-op.
+    The un-routed half of :meth:`~repro.models.base.ModelSuite.call_many`:
+    one :class:`~repro.models.cost.BatchedModelCall` covering the whole
+    batch lands on the model's own meter, priced by the sub-linear formula.
+    Every member executes, and every member that succeeds is billed; then
+    the first member error is raised.  The routed funnel bills each executed
+    chunk the same way, so a failing vector costs the same on both routes.
+    (A serial loop would instead stop at the first failure.)  An empty
+    ``calls`` is a free no-op.
     """
     if not calls:
         return []
@@ -254,14 +261,7 @@ def run_model_batch(model: Any, method: str,
                                               if k != "purpose"})))
                for args, kwargs in calls]
     plan = plan_batch(members)
-    meter = getattr(model, "cost_meter", None)
-    if meter is not None and plan.size:
-        meter.record_batched(
-            getattr(model, "name", type(model).__name__),
-            purpose or members[0].purpose,
-            plan.prompt_tokens, plan.completion_tokens,
-            batch_size=plan.size, members=plan.size,
-            serial_tokens=plan.serial_tokens, latency_s=plan.latency_s)
+    record_shares(members, plan)
     for outcome in plan.outcomes:
         if outcome.error is not None:
             raise outcome.error

@@ -70,7 +70,8 @@ class BatchedModelCall(ModelCall):
 
     ``batch_size`` is how many logical calls shared the invocation.
     ``members`` is how many of them this record covers: the whole batch when
-    a model's ``*_batch()`` entry point charges one meter, or 1 when the
+    an un-routed :meth:`~repro.models.base.ModelSuite.call_many` charges the
+    model's one meter, or the members one session contributed when the
     gateway splits the charge across the member sessions' meters.
     ``serial_tokens`` is what the covered calls would have cost serially, so
     ``tokens_saved`` is the sub-linear discount this record captures.

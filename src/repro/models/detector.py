@@ -11,11 +11,12 @@ it are less accurate -- exactly the cost/accuracy spread the optimizer needs.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
 from repro.data.images import SyntheticImage
+from repro.models.calls import CallSpec, declare
 from repro.models.cost import CostMeter
 
 DETECTOR_CALL_TOKENS = 40
@@ -29,6 +30,9 @@ class PixelObjectDetector:
     #: of a call's prompt is shareable setup — like a real vision backend.
     BATCH_OVERHEAD_TOKENS = 32
 
+    #: The charged entry points (see :mod:`repro.models.calls`).
+    CALLS = declare(CallSpec("detect", "pixel_detection", batchable=True))
+
     def __init__(self, cost_meter: Optional[CostMeter] = None, name: str = "detector:pixel-stats",
                  min_region_fraction: float = 0.005):
         self.cost_meter = cost_meter
@@ -39,18 +43,6 @@ class PixelObjectDetector:
         if self.cost_meter is not None:
             self.cost_meter.record(self.name, purpose,
                                    prompt_tokens=DETECTOR_CALL_TOKENS, completion_tokens=20)
-
-    def detect_batch(self, images: Sequence[SyntheticImage],
-                     purpose: str = "pixel_detection") -> List[Dict[str, Any]]:
-        """Detect over many posters as one batched invocation.
-
-        Element-wise identical to serial :meth:`detect` calls; charged as a
-        single :class:`~repro.models.cost.BatchedModelCall` (shared setup +
-        per-image marginal cost).
-        """
-        from repro.models.batching import run_model_batch
-        return run_model_batch(self, "detect",
-                               [((image,), {"purpose": purpose}) for image in images])
 
     def detect(self, image: SyntheticImage, purpose: str = "pixel_detection") -> Dict[str, Any]:
         """Detect colored regions and compute poster-level statistics."""

@@ -19,6 +19,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
+from repro.models.calls import CallSpec, declare, query_and_candidates, terms
 from repro.models.cost import CostMeter
 from repro.models.lexicon import DEFAULT_LEXICON, Lexicon
 from repro.utils.seed import stable_hash
@@ -41,6 +42,23 @@ class EmbeddingModel:
     #: Prompt/setup tokens one serial request embeds (the request framing a
     #: batched invocation pays once); see :mod:`repro.models.batching`.
     BATCH_OVERHEAD_TOKENS = 8
+
+    #: The charged entry points (see :mod:`repro.models.calls`).  All are
+    #: batchable; the three term-set predicates are eligible for the
+    #: gateway's semantic near-match tier.
+    CALLS = declare(
+        CallSpec("embed_word", "embed_word", batchable=True),
+        CallSpec("embed_text", "embed_text", batchable=True),
+        CallSpec("embed_many", "embed_batch", batchable=True,
+                 normalize={"texts": terms}),
+        CallSpec("similarity", "similarity", batchable=True),
+        *(CallSpec(method, method, batchable=True,
+                   normalize={"query_terms": terms, "candidate_terms": terms},
+                   semantic_terms=query_and_candidates)
+          for method in ("max_similarity", "aggregate_similarity", "match_fraction")),
+        CallSpec("nearest", "nearest", batchable=True,
+                 normalize={"candidates": terms}),
+    )
 
     def __init__(self, lexicon: Optional[Lexicon] = None, dimensions: int = 64,
                  concept_weight: float = 3.0, cost_meter: Optional[CostMeter] = None,
@@ -115,21 +133,8 @@ class EmbeddingModel:
         return np.mean(vectors, axis=0)
 
     def embed_many(self, texts: Iterable[str], purpose: str = "embed_batch") -> List[np.ndarray]:
-        """Embed a batch of texts (serial accounting; see :meth:`embed_text_batch`)."""
+        """Embed a batch of texts (serial accounting, one charge per text)."""
         return [self.embed_text(t, purpose=purpose) for t in texts]
-
-    def embed_text_batch(self, texts: Sequence[str],
-                         purpose: str = "embed_text") -> List[np.ndarray]:
-        """Embed many texts as **one batched invocation**.
-
-        Bit-identical to calling :meth:`embed_text` per text, but charged as
-        a single :class:`~repro.models.cost.BatchedModelCall`: one shared
-        request overhead plus per-text marginal cost (sub-linear in batch
-        size), one invocation's worth of synthetic latency.
-        """
-        from repro.models.batching import run_model_batch
-        return run_model_batch(self, "embed_text",
-                               [((text,), {"purpose": purpose}) for text in texts])
 
     def similarity(self, text_a: str, text_b: str, purpose: str = "similarity") -> float:
         """Cosine similarity between two texts."""
@@ -192,26 +197,6 @@ class EmbeddingModel:
             if best >= threshold:
                 matches += 1
         return matches / len(candidate_terms)
-
-    def match_fraction_batch(self, query_terms: Sequence[str],
-                             candidate_lists: Sequence[Sequence[str]],
-                             threshold: float = 0.5,
-                             purpose: str = "match_fraction") -> List[float]:
-        """Score many candidate lists against one query set in one batch.
-
-        This is the column-vector form of :meth:`match_fraction` the
-        vectorized FAO bodies use: one row's extracted terms per member,
-        element-wise identical results, charged as a single
-        :class:`~repro.models.cost.BatchedModelCall` (the query-side
-        embedding/request framing is the shared setup a batch pays once).
-        """
-        from repro.models.batching import run_model_batch
-        query = tuple(query_terms)
-        return run_model_batch(
-            self, "match_fraction",
-            [((query, tuple(candidates)),
-              {"threshold": threshold, "purpose": purpose})
-             for candidates in candidate_lists])
 
     def nearest(self, query: str, candidates: Sequence[str], top_k: int = 5,
                 purpose: str = "nearest") -> List[tuple]:

@@ -24,6 +24,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.models.calls import CallSpec, declare, mapping, optional_terms, terms
 from repro.models.cost import CostMeter
 from repro.models.lexicon import DEFAULT_LEXICON, Lexicon
 from repro.utils.seed import SeededRNG
@@ -142,6 +143,22 @@ _IMAGE_NOUNS = {"poster", "posters", "image", "images", "picture", "pictures", "
 
 class SimulatedLLM:
     """A deterministic, lexicon-grounded stand-in for a hosted LLM."""
+
+    #: The charged entry points (see :mod:`repro.models.calls`).  LLM calls
+    #: are cached and coalesced when routed, but execute singly.
+    CALLS = declare(
+        CallSpec("detect_ambiguity", "ambiguity_detection",
+                 normalize={"resolved_terms": optional_terms}),
+        CallSpec("generate_keywords", "keyword_generation"),
+        CallSpec("alternative_interpretations", "interpretation_enumeration"),
+        CallSpec("interpret_query", "query_interpretation",
+                 normalize={"clarifications": mapping, "corrections": terms}),
+        CallSpec("classify_dependency_pattern", "dependency_classification"),
+        CallSpec("judge_output", "semantic_judgement",
+                 normalize={"input_sample": terms, "output_sample": terms}),
+        CallSpec("render_text", "text_generation"),
+        CallSpec("complete", "freeform_completion"),
+    )
 
     def __init__(self, cost_meter: Optional[CostMeter] = None, lexicon: Optional[Lexicon] = None,
                  seed: object = 0, keyword_count: int = 12, name: str = "llm:sim-instruct"):

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from repro.models.calls import CallSpec, declare
 from repro.models.cost import CostMeter
 from repro.models.lexicon import DEFAULT_LEXICON, Lexicon
 from repro.utils.text import estimate_tokens, sentences
@@ -125,6 +126,9 @@ class EntityExtractor:
     #: prompt is ``BATCH_OVERHEAD_TOKENS + tokens(document)``.
     BATCH_OVERHEAD_TOKENS = 640
 
+    #: The charged entry points (see :mod:`repro.models.calls`).
+    CALLS = declare(CallSpec("extract", "text_graph_extraction", batchable=True))
+
     def __init__(self, cost_meter: Optional[CostMeter] = None, lexicon: Optional[Lexicon] = None,
                  name: str = "ner:rule-coref"):
         self.cost_meter = cost_meter
@@ -137,18 +141,6 @@ class EntityExtractor:
                 self.name, purpose,
                 prompt_tokens=self.BATCH_OVERHEAD_TOKENS + estimate_tokens(text),
                 completion_tokens=estimate_tokens(_completion_digest(result)))
-
-    def extract_batch(self, texts: Sequence[str],
-                      purpose: str = "text_graph_extraction") -> List[ExtractionResult]:
-        """Extract text graphs from many documents as one batched invocation.
-
-        Element-wise identical to serial :meth:`extract` calls; charged as a
-        single :class:`~repro.models.cost.BatchedModelCall` whose token cost
-        is sub-linear (the extraction preamble is paid once per batch).
-        """
-        from repro.models.batching import run_model_batch
-        return run_model_batch(self, "extract",
-                               [((text,), {"purpose": purpose}) for text in texts])
 
     def extract(self, text: str, purpose: str = "text_graph_extraction") -> ExtractionResult:
         """Extract the full text semantic graph from one document."""

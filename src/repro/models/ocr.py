@@ -10,9 +10,10 @@ tokens, and knows nothing about the depicted objects.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional
 
 from repro.data.images import SyntheticImage
+from repro.models.calls import CallSpec, declare
 from repro.models.cost import CostMeter
 from repro.utils.seed import SeededRNG
 from repro.utils.text import estimate_tokens
@@ -26,6 +27,9 @@ class OCRTextExtractor:
     #: Prompt/setup tokens one serial request embeds (engine configuration a
     #: batched invocation pays once); OCR_CALL_TOKENS is 12.
     BATCH_OVERHEAD_TOKENS = 8
+
+    #: The charged entry points (see :mod:`repro.models.calls`).
+    CALLS = declare(CallSpec("extract_text", "ocr", batchable=True))
 
     def __init__(self, cost_meter: Optional[CostMeter] = None, error_rate: float = 0.02,
                  seed: object = 0, name: str = "ocr:sim-tesseract"):
@@ -41,18 +45,6 @@ class OCRTextExtractor:
             self.cost_meter.record(self.name, purpose,
                                    prompt_tokens=OCR_CALL_TOKENS,
                                    completion_tokens=estimate_tokens(text))
-
-    def extract_text_batch(self, images: Sequence[SyntheticImage],
-                           purpose: str = "ocr") -> List[Dict[str, Any]]:
-        """Read many posters as one batched invocation.
-
-        Element-wise identical to serial :meth:`extract_text` calls (the RNG
-        forks on the image URI, not call order); charged as a single
-        :class:`~repro.models.cost.BatchedModelCall`.
-        """
-        from repro.models.batching import run_model_batch
-        return run_model_batch(self, "extract_text",
-                               [((image,), {"purpose": purpose}) for image in images])
 
     def extract_text(self, image: SyntheticImage, purpose: str = "ocr") -> Dict[str, Any]:
         """Extract printed text from the poster.

@@ -10,13 +10,14 @@ perfect -- the regime in which the paper's critic/monitor loops matter.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.data.images import (
     BORING_OBJECT_CLASSES,
     SyntheticImage,
     VIVID_OBJECT_CLASSES,
 )
+from repro.models.calls import CallSpec, declare
 from repro.models.cost import CostMeter
 from repro.models.lexicon import DEFAULT_LEXICON, Lexicon
 from repro.utils.seed import SeededRNG
@@ -35,6 +36,16 @@ class SimulatedVLM:
     #: per-request framing is shareable; only the poster's own encoded pixels
     #: (and the completion) stay marginal.  See :mod:`repro.models.batching`.
     BATCH_OVERHEAD_TOKENS = 384
+
+    #: The charged entry points (see :mod:`repro.models.calls`).  A serial
+    #: VLM call executes singly; a vector of them through
+    #: :meth:`~repro.models.base.ModelSuite.call_many` is one batched
+    #: invocation.
+    CALLS = declare(
+        CallSpec("extract_scene_graph", "scene_graph_extraction"),
+        CallSpec("caption", "caption"),
+        CallSpec("answer_visual_question", "visual_qa"),
+    )
 
     def __init__(self, cost_meter: Optional[CostMeter] = None, error_rate: float = 0.05,
                  seed: object = 0, lexicon: Optional[Lexicon] = None,
@@ -101,21 +112,6 @@ class SimulatedVLM:
         self._charge(purpose, repr(result))
         return result
 
-    def extract_scene_graph_batch(self, images: Sequence[SyntheticImage],
-                                  purpose: str = "scene_graph_extraction"
-                                  ) -> List[Dict[str, Any]]:
-        """Extract scene graphs from many posters as **one batched invocation**.
-
-        Element-wise identical to serial :meth:`extract_scene_graph` calls
-        (the RNG forks on the image URI, not call order); charged as a single
-        :class:`~repro.models.cost.BatchedModelCall` with sub-linear token
-        cost — the shared vision preamble is paid once per batch.
-        """
-        from repro.models.batching import run_model_batch
-        return run_model_batch(self, "extract_scene_graph",
-                               [((image,), {"purpose": purpose})
-                                for image in images])
-
     def caption(self, image: SyntheticImage, purpose: str = "caption") -> str:
         """A one-sentence caption of the poster."""
         graph = self.extract_scene_graph(image, purpose=purpose)
@@ -159,17 +155,3 @@ class SimulatedVLM:
                   "boring_score": boring_score, "evidence": vivid_evidence}
         self._charge(purpose, repr(result))
         return result
-
-    def answer_visual_question_batch(self, images: Sequence[SyntheticImage],
-                                     question: str, purpose: str = "visual_qa"
-                                     ) -> List[Dict[str, Any]]:
-        """Answer the same visual question about many posters in one batch.
-
-        Element-wise identical to serial :meth:`answer_visual_question`
-        calls; charged as a single
-        :class:`~repro.models.cost.BatchedModelCall`.
-        """
-        from repro.models.batching import run_model_batch
-        return run_model_batch(self, "answer_visual_question",
-                               [((image, question), {"purpose": purpose})
-                                for image in images])

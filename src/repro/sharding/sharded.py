@@ -142,8 +142,7 @@ class ShardedService(RequestFrontend):
                                fn=lambda s=shard: float(len(s.catalog)))
             self.metrics.gauge(
                 f"shard.{index}.gateway_cache_entries",
-                fn=lambda s=shard: float(len(s.gateway.cache))
-                if s.gateway is not None else 0.0)
+                fn=lambda s=shard: float(len(s.gateway.cache)))
 
     # -- construction -------------------------------------------------------------
     def _shard_config(self, index: int) -> KathDBConfig:
@@ -434,8 +433,7 @@ class ShardedService(RequestFrontend):
                 "shard": index,
                 "routed": self.metrics.counter(f"shard.{index}.routed").value,
                 "catalog_tables": len(shard.catalog),
-                "gateway_cache_entries": (len(shard.gateway.cache)
-                                          if shard.gateway is not None else 0),
+                "gateway_cache_entries": len(shard.gateway.cache),
                 "tokens": shard.total_tokens(),
             })
         return snapshot

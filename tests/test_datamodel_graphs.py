@@ -19,7 +19,7 @@ def perfect_models():
 class TestSceneGraphPopulation:
     def test_objects_match_ground_truth(self, corpus, perfect_models):
         posters = corpus.to_tables()["poster_images"]
-        scene = populate_scene_graph(posters.rows, perfect_models.vlm)
+        scene = populate_scene_graph(posters.rows, perfect_models)
         expected_objects = sum(len(m.poster.objects) for m in corpus)
         assert len(scene.objects) == expected_objects
         assert len(scene.frames) == len(corpus)
@@ -28,7 +28,7 @@ class TestSceneGraphPopulation:
 
     def test_attributes_and_relationships(self, corpus, perfect_models):
         posters = corpus.to_tables()["poster_images"]
-        scene = populate_scene_graph(posters.rows, perfect_models.vlm)
+        scene = populate_scene_graph(posters.rows, perfect_models)
         # Every object carries a color attribute in the synthetic corpus.
         assert len(scene.attributes) == len(scene.objects)
         for row in scene.relationships:
@@ -37,7 +37,7 @@ class TestSceneGraphPopulation:
 
     def test_frame_statistics_distinguish_styles(self, corpus, perfect_models):
         posters = corpus.to_tables()["poster_images"]
-        scene = populate_scene_graph(posters.rows, perfect_models.vlm)
+        scene = populate_scene_graph(posters.rows, perfect_models)
         guilty = corpus.by_title("Guilty by Suspicion")
         vivid = next(m for m in corpus if not m.gt_boring_poster)
         frames = {row["vid"]: row for row in scene.frames}
@@ -45,7 +45,7 @@ class TestSceneGraphPopulation:
 
     def test_helper_lookups(self, corpus, perfect_models):
         posters = corpus.to_tables()["poster_images"]
-        scene = populate_scene_graph(posters.rows, perfect_models.vlm)
+        scene = populate_scene_graph(posters.rows, perfect_models)
         guilty = corpus.by_title("Guilty by Suspicion")
         assert len(scene.objects_for(guilty.movie_id)) == len(guilty.poster.objects)
         assert scene.class_names_for(guilty.movie_id) == [o.class_name
@@ -55,7 +55,7 @@ class TestSceneGraphPopulation:
         posters = corpus.to_tables()["poster_images"]
         lineage = LineageStore()
         parent = lineage.record_source("file://posters")
-        scene = populate_scene_graph(posters.rows, perfect_models.vlm,
+        scene = populate_scene_graph(posters.rows, perfect_models,
                                      lineage=lineage, parent_lid=parent)
         lids = [row["lid"] for row in scene.objects]
         assert all(lid is not None for lid in lids)
@@ -64,46 +64,46 @@ class TestSceneGraphPopulation:
     def test_table_level_lineage_skips_row_lids(self, corpus, perfect_models):
         posters = corpus.to_tables()["poster_images"]
         lineage = LineageStore(level=LINEAGE_LEVEL_TABLE)
-        scene = populate_scene_graph(posters.rows, perfect_models.vlm,
+        scene = populate_scene_graph(posters.rows, perfect_models,
                                      lineage=lineage, parent_lid=None)
         assert all(row["lid"] is None for row in scene.objects)
 
     def test_rows_without_images_are_skipped(self, perfect_models):
         rows = [{"movie_id": 1, "image": None, "image_uri": "x"}]
-        scene = populate_scene_graph(rows, perfect_models.vlm)
+        scene = populate_scene_graph(rows, perfect_models)
         assert len(scene.frames) == 0
 
 
 class TestTextGraphPopulation:
     def test_entities_and_documents(self, corpus, perfect_models):
         plots = corpus.to_tables()["film_plot"]
-        text = populate_text_graph(plots.rows, perfect_models.ner)
+        text = populate_text_graph(plots.rows, perfect_models)
         assert len(text.texts) == len(corpus)
         assert len(text.entities) > len(corpus)  # several entities per document
         assert text.entities.schema.column_names() == ["did", "eid", "lid", "cid", "canonical"]
 
     def test_entity_ids_unique_across_corpus(self, corpus, perfect_models):
         plots = corpus.to_tables()["film_plot"]
-        text = populate_text_graph(plots.rows, perfect_models.ner)
+        text = populate_text_graph(plots.rows, perfect_models)
         eids = [row["eid"] for row in text.entities]
         assert len(eids) == len(set(eids))
 
     def test_mentions_reference_existing_entities(self, corpus, perfect_models):
         plots = corpus.to_tables()["film_plot"]
-        text = populate_text_graph(plots.rows, perfect_models.ner)
+        text = populate_text_graph(plots.rows, perfect_models)
         entity_ids = {row["eid"] for row in text.entities}
         assert all(row["eid"] in entity_ids for row in text.mentions)
 
     def test_event_terms_for_guilty(self, corpus, perfect_models):
         plots = corpus.to_tables()["film_plot"]
-        text = populate_text_graph(plots.rows, perfect_models.ner)
+        text = populate_text_graph(plots.rows, perfect_models)
         guilty = corpus.by_title("Guilty by Suspicion")
         events = set(text.event_terms_for(guilty.document_id))
         assert {"accused", "threat", "interrogation"} & events
 
     def test_relationships_reference_entities(self, corpus, perfect_models):
         plots = corpus.to_tables()["film_plot"]
-        text = populate_text_graph(plots.rows, perfect_models.ner)
+        text = populate_text_graph(plots.rows, perfect_models)
         entity_ids = {row["eid"] for row in text.entities}
         for row in text.relationships:
             assert row["eid_i"] in entity_ids and row["eid_j"] in entity_ids
@@ -112,7 +112,7 @@ class TestTextGraphPopulation:
         plots = corpus.to_tables()["film_plot"]
         lineage = LineageStore()
         parent = lineage.record_source("file://plots")
-        text = populate_text_graph(plots.rows, perfect_models.ner,
+        text = populate_text_graph(plots.rows, perfect_models,
                                    lineage=lineage, parent_lid=parent)
         assert all(row["lid"] is not None for row in text.entities)
 

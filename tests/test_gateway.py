@@ -27,9 +27,8 @@ from repro.gateway import (
     GatewayConfig,
     ModelGateway,
     request_key,
-    route_suite,
 )
-from repro.gateway.proxy import GatewayEmbeddings
+from repro.gateway.proxy import GatewayModelProxy
 from repro.models.cost import CostMeter
 from repro.models.embeddings import EmbeddingModel
 from repro.models.lexicon import default_lexicon
@@ -76,6 +75,14 @@ def fresh_service(corpus, **overrides) -> KathDBService:
 def rows_of(response):
     assert response.ok, response.error
     return [dict(row) for row in response.result.final_table]
+
+
+def content(response):
+    """Rows modulo ``lid``: lineage ids depend on which lineage store a
+    session writes (a service session's scoped overlay, the facade's shared
+    store, a second corpus load), the model-derived values do not."""
+    return [{k: v for k, v in row.items() if k != "lid"}
+            for row in rows_of(response)]
 
 
 class TestFingerprint:
@@ -174,7 +181,7 @@ class TestExactCacheTier:
         client = gateway.client("s")
         meter = CostMeter()
         model = EmbeddingModel(lexicon=default_lexicon(), cost_meter=meter)
-        proxy = GatewayEmbeddings(model, client)
+        proxy = GatewayModelProxy(model, client)
         proxy.embed_word("gun")
         assert client.counters.misses == 1
         proxy.embed_word("gun")
@@ -495,7 +502,7 @@ class TestSemanticTier:
     def _proxy(self, gateway, session="s"):
         meter = CostMeter()
         model = EmbeddingModel(lexicon=default_lexicon(), cost_meter=meter)
-        return GatewayEmbeddings(model, gateway.client(session)), meter
+        return GatewayModelProxy(model, gateway.client(session)), meter
 
     def test_raw_gateway_layer_defaults_off_and_executes_exactly(self):
         # GatewayConfig (the explicit, low-level layer) keeps the tier
@@ -712,15 +719,18 @@ class TestAdmissionControl:
 class TestServiceIntegration:
     def test_gateway_on_off_rows_identical(self, corpus):
         on = fresh_service(corpus)
-        off = fresh_service(corpus, enable_model_gateway=False)
+        # "Off" is the legacy facade's default session: a direct model path.
+        from repro import KathDB
+        off = KathDB(service_config())
+        off.load_corpus(corpus)
         requests = [QueryRequest(nl_query=BORING_QUERY, user=SilentUser())
                     for _ in range(4)]
         with_gateway = on.query_batch(requests, jobs=4)
-        without = off.query_batch(
-            [QueryRequest(nl_query=BORING_QUERY, user=SilentUser())
-             for _ in range(4)], jobs=4)
+        without = [off.default_session.query(
+            QueryRequest(nl_query=BORING_QUERY, user=SilentUser()))
+            for _ in range(4)]
         for a, b in zip(with_gateway, without):
-            assert rows_of(a) == rows_of(b)
+            assert content(a) == content(b)
         saved = sum(r.gateway_stats["tokens_saved"] for r in with_gateway)
         assert saved > 0
         assert all(r.gateway_stats is None for r in without)
@@ -794,13 +804,13 @@ class TestServiceIntegration:
 
         # Compare modulo lid: lineage ids legitimately advance on a second
         # load into the same service; the *model-derived* values must match.
-        def content(response):
-            return [{k: v for k, v in row.items() if k != "lid"}
-                    for row in rows_of(response)]
-
-        reference = fresh_service(other, enable_model_gateway=False)
-        assert content(svc.query(BORING_QUERY)) == \
-            content(reference.query(BORING_QUERY))
+        # The reference answers over a direct model path: the legacy
+        # facade's default session, which no gateway cache can feed.
+        from repro import KathDB
+        reference = KathDB(service_config())
+        reference.load_corpus(other)
+        assert content(svc.query(BORING_QUERY)) == content(
+            reference.default_session.query(BORING_QUERY))
 
     def test_per_session_windowed_stats(self, corpus):
         # The ROADMAP satellite: windowed gateway stats scoped to one

@@ -1,7 +1,8 @@
 """Tests for true batched model execution (`repro.models.batching`).
 
-Covers the tentpole contract at the model layer: every batchable kind's
-``*_batch()`` entry point is element-wise identical to serial calls
+Covers the contract at the model layer: a vector of calls through an
+un-routed suite's :meth:`~repro.models.base.ModelSuite.call_many` is
+element-wise identical to serial calls
 (bit-identical embeddings, same entities/boxes/text), charged as a single
 :class:`~repro.models.cost.BatchedModelCall` whose token cost is sub-linear
 (one shared prompt/setup overhead per batch + per-item marginal cost), with
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro import build_movie_corpus
+from repro.gateway.gateway import GatewayConfig, ModelGateway
 from repro.models.base import ModelSuite
 from repro.models.batching import BatchMember, plan_batch
 from repro.models.cost import BatchedModelCall, CostMeter
@@ -31,6 +33,11 @@ def batch_corpus():
     return build_movie_corpus(size=8, seed=7)
 
 
+def many(suite, kind, method, items):
+    """One vectorized single-argument call per item."""
+    return suite.call_many(kind, method, [((item,), {}) for item in items])
+
+
 def only_call(meter):
     assert len(meter) == 1, "a batch must charge exactly one ledger record"
     call = meter.calls[0]
@@ -39,12 +46,12 @@ def only_call(meter):
 
 
 class TestBatchSerialEquivalence:
-    """`*_batch(items)` must never drift from the exact serial path."""
+    """`call_many` must never drift from the exact serial path."""
 
     def test_embeddings_bit_identical(self, suite, batch_corpus):
         texts = [m.plot for m in batch_corpus.movies]
         serial = [suite.embeddings.embed_text(t) for t in texts]
-        batched = suite.embeddings.embed_text_batch(texts)
+        batched = many(suite, "embeddings", "embed_text", texts)
         assert len(serial) == len(batched)
         for a, b in zip(serial, batched):
             assert np.array_equal(a, b)          # bit-identical vectors
@@ -52,7 +59,7 @@ class TestBatchSerialEquivalence:
     def test_ner_same_entities(self, suite, batch_corpus):
         texts = [m.plot for m in batch_corpus.movies]
         serial = [suite.ner.extract(t) for t in texts]
-        batched = suite.ner.extract_batch(texts)
+        batched = many(suite, "ner", "extract", texts)
         for a, b in zip(serial, batched):
             assert repr(a.entities) == repr(b.entities)
             assert repr(a.mentions) == repr(b.mentions)
@@ -62,15 +69,15 @@ class TestBatchSerialEquivalence:
     def test_detector_same_boxes(self, suite, batch_corpus):
         images = [m.poster for m in batch_corpus.movies]
         serial = [suite.detector.detect(i) for i in images]
-        assert suite.detector.detect_batch(images) == serial
+        assert many(suite, "detector", "detect", images) == serial
 
     def test_ocr_same_text(self, suite, batch_corpus):
         images = [m.poster for m in batch_corpus.movies]
         serial = [suite.ocr.extract_text(i) for i in images]
-        assert suite.ocr.extract_text_batch(images) == serial
+        assert many(suite, "ocr", "extract_text", images) == serial
 
     def test_empty_batch_is_a_free_noop(self, suite):
-        assert suite.ner.extract_batch([]) == []
+        assert many(suite, "ner", "extract", []) == []
         assert len(suite.cost_meter) == 0
 
 
@@ -85,7 +92,7 @@ class TestSublinearCost:
 
         batch_meter = CostMeter()
         suite.detector.cost_meter = batch_meter
-        suite.detector.detect_batch(images)
+        many(suite, "detector", "detect", images)
         call = only_call(batch_meter)
         assert call.batch_size == len(images)
         assert call.serial_tokens == serial_tokens
@@ -100,7 +107,7 @@ class TestSublinearCost:
         text = batch_corpus.movies[0].plot
         reference = suite.ner.extract(text)
         suite.cost_meter.reset()
-        results = suite.ner.extract_batch([text] * 4)
+        results = many(suite, "ner", "extract", [text] * 4)
         assert all(repr(r.entities) == repr(reference.entities) for r in results)
         call = only_call(suite.cost_meter)
         # One execution's content + one setup, but four members' serial price.
@@ -116,23 +123,44 @@ class TestSublinearCost:
             suite.ocr.extract_text(image)
         batch_meter = CostMeter()
         suite.ocr.cost_meter = batch_meter
-        suite.ocr.extract_text_batch(images)
+        many(suite, "ocr", "extract_text", images)
         assert batch_meter.total_latency_s < serial_meter.total_latency_s
 
     def test_member_failure_propagates_from_direct_batch(self, suite):
         with pytest.raises(AttributeError):
-            suite.ner.extract_batch([123])  # not a string: fails like serial
+            many(suite, "ner", "extract", [123])  # not a string: fails like serial
         assert len(suite.cost_meter) == 0   # nothing executed, nothing billed
 
     def test_partial_failure_still_bills_the_executed_members(self, suite,
                                                               batch_corpus):
-        # A serial loop charges for the calls completed before the failure;
-        # the batch does the same — bill the successful slice, then raise.
+        # Every member executes and every successful one is billed, then the
+        # first error is raised.  The good member comes *after* the faulty
+        # one, so a serial loop would have billed nothing.
         text = batch_corpus.movies[0].plot
         with pytest.raises(AttributeError):
-            suite.ner.extract_batch([text, 123])
+            many(suite, "ner", "extract", [123, text])
         call = only_call(suite.cost_meter)
         assert call.batch_size == 1 and call.total_tokens > 0
+
+    def test_batch_size_splits_the_vector(self, suite, batch_corpus):
+        images = [m.poster for m in batch_corpus.movies][:5]
+        results = suite.call_many("detector", "detect",
+                                  [((image,), {}) for image in images], batch_size=2)
+        assert results == [suite.detector.detect(image) for image in images]
+        batched = [c for c in suite.cost_meter.calls if isinstance(c, BatchedModelCall)]
+        assert [c.batch_size for c in batched] == [2, 2, 1]
+
+    def test_failing_vector_bills_the_same_on_both_routes(self, batch_corpus):
+        texts = [batch_corpus.movies[0].plot, 123, batch_corpus.movies[1].plot]
+        direct = ModelSuite.create(seed=42, cost_meter=CostMeter())
+        routed = ModelSuite.create(seed=42, cost_meter=CostMeter()).routed(
+            ModelGateway(GatewayConfig()), "s")
+        for suite in (direct, routed):
+            with pytest.raises(AttributeError):
+                many(suite, "ner", "extract", texts)
+        assert routed.cost_meter.total_tokens == direct.cost_meter.total_tokens > 0
+        assert routed.gateway_client.counters.tokens_charged == \
+            direct.cost_meter.total_tokens
 
 
 class TestPlanBatch:

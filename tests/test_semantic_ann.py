@@ -4,8 +4,8 @@ Covers the tentpole contract: the multi-probe LSH index agrees with the
 linear scan on accept/reject decisions across thresholds, multi-probe
 recovers near-boundary vectors a single bucket probe would miss, every
 invalidation path (eviction, clear, corpus reload) drops index entries in
-lockstep with cache entries, the vectorized ``match_fraction_batch`` funnel
-composes with the tier instead of bypassing it, the service's threshold
+lockstep with cache entries, a vectorized ``call_many("embeddings",
+"match_fraction", ...)`` composes with the tier instead of bypassing it, the service's threshold
 serves no false accepts against exact execution, and the config/CLI knobs
 reach the index.
 """
@@ -18,8 +18,9 @@ from repro.core.config import SEMANTIC_SIMILARITY_THRESHOLD
 from repro.core.config import KathDBConfig as CoreConfig
 from repro.errors import KathDBError
 from repro.gateway import GatewayConfig, LSHIndex, ModelGateway, SemanticNearCache
-from repro.gateway.proxy import GatewayEmbeddings
+from repro.gateway.proxy import GatewayModelProxy
 from repro.gateway.semantic import term_signature
+from repro.models.base import ModelSuite
 from repro.models.cost import CostMeter
 from repro.models.embeddings import EmbeddingModel, cosine_similarity
 from repro.models.lexicon import default_lexicon
@@ -246,7 +247,7 @@ class TestInvalidation:
                                              semantic_threshold=0.999))
         meter = CostMeter()
         model = EmbeddingModel(lexicon=default_lexicon(), cost_meter=meter)
-        proxy = GatewayEmbeddings(model, gateway.client("s"))
+        proxy = GatewayModelProxy(model, gateway.client("s"))
         proxy.match_fraction(list(KEYWORDS), ["war", "battle"])
         assert gateway.semantic.stats.entries == 1
         assert len(gateway.semantic.index) == 1
@@ -280,6 +281,13 @@ class TestInvalidation:
         service.shutdown()
 
 
+def match_fraction_many(suite, query_terms, candidate_lists):
+    """One vectorized ``match_fraction`` per candidate list."""
+    return suite.call_many("embeddings", "match_fraction",
+                           [((query_terms, candidates), {})
+                            for candidates in candidate_lists])
+
+
 class TestVectorizedFunnelUnderAnn:
     def _routed(self, **overrides):
         config = dict(enable_semantic=True, semantic_threshold=0.999,
@@ -287,13 +295,13 @@ class TestVectorizedFunnelUnderAnn:
         config.update(overrides)
         gateway = ModelGateway(GatewayConfig(**config))
         meter = CostMeter()
-        model = EmbeddingModel(lexicon=default_lexicon(), cost_meter=meter)
-        return gateway, GatewayEmbeddings(model, gateway.client("s")), meter
+        suite = ModelSuite.create(cost_meter=meter).routed(gateway, "s")
+        return gateway, suite, meter
 
     def test_batched_misses_still_batch_and_fill_the_tier(self):
-        gateway, proxy, _ = self._routed()
+        gateway, suite, _ = self._routed()
         lists = [["war", "battle"], ["picnic", "beach"], ["ghost", "scream"]]
-        proxy.match_fraction_batch(KEYWORDS, lists)
+        match_fraction_many(suite, KEYWORDS, lists)
         client = gateway.client("s")
         # The vector executed as one batched chunk (no serial fallback) and
         # every computed member landed in the tier under its signature.
@@ -302,14 +310,14 @@ class TestVectorizedFunnelUnderAnn:
         assert gateway.semantic.stats.entries == len(lists)
 
     def test_variant_batch_is_served_by_near_hits_without_executing(self):
-        gateway, proxy, meter = self._routed()
+        gateway, suite, meter = self._routed()
         base = [["war", "battle"], ["picnic", "beach"], ["ghost", "scream"]]
-        scores = proxy.match_fraction_batch(KEYWORDS, base)
+        scores = match_fraction_many(suite, KEYWORDS, base)
         client = gateway.client("s")
         marker = client.counters.snapshot()
         spent = meter.total_tokens
         variants = [[t.title() for t in terms] for terms in base]
-        served = proxy.match_fraction_batch(KEYWORDS, variants)
+        served = match_fraction_many(suite, KEYWORDS, variants)
         delta = client.counters.delta(marker)
         assert served == scores             # embedder normalizes case
         assert delta["semantic_hits"] == len(base)
@@ -317,34 +325,34 @@ class TestVectorizedFunnelUnderAnn:
         assert meter.total_tokens == spent  # near-hits charge nobody
 
     def test_mixed_batch_splits_between_tier_and_execution(self):
-        gateway, proxy, _ = self._routed()
-        proxy.match_fraction_batch(KEYWORDS, [["war", "battle"],
-                                              ["picnic", "beach"]])
+        gateway, suite, _ = self._routed()
+        match_fraction_many(suite, KEYWORDS,
+                            [["war", "battle"], ["picnic", "beach"]])
         client = gateway.client("s")
         marker = client.counters.snapshot()
         mixed = [["War", "Battle"],          # near-hit (case variant)
                  ["submarine", "desert"],    # novel: must execute
                  ["opera", "violin"]]        # novel: must execute
-        proxy.match_fraction_batch(KEYWORDS, mixed)
+        match_fraction_many(suite, KEYWORDS, mixed)
         delta = client.counters.delta(marker)
         assert delta["semantic_hits"] == 1
         assert delta["misses"] == 2
         assert delta["batch_calls"] == 1     # the two misses still batched
 
     def test_serial_and_batch_funnels_share_the_tier(self):
-        gateway, proxy, _ = self._routed()
-        serial = proxy.match_fraction(list(KEYWORDS), ["war", "battle"])
-        [batched] = proxy.match_fraction_batch(
-            KEYWORDS, [[t.title() for t in ("war", "battle")]])
+        gateway, suite, _ = self._routed()
+        serial = suite.embeddings.match_fraction(list(KEYWORDS), ["war", "battle"])
+        [batched] = match_fraction_many(
+            suite, KEYWORDS, [[t.title() for t in ("war", "battle")]])
         assert batched == serial
         assert gateway.client("s").counters.semantic_hits == 1
 
     def test_linear_mode_serves_the_same_vectors(self):
-        gateway, proxy, _ = self._routed(semantic_mode="linear")
+        gateway, suite, _ = self._routed(semantic_mode="linear")
         base = [["war", "battle"], ["picnic", "beach"]]
-        scores = proxy.match_fraction_batch(KEYWORDS, base)
+        scores = match_fraction_many(suite, KEYWORDS, base)
         variants = [[t.title() for t in terms] for terms in base]
-        assert proxy.match_fraction_batch(KEYWORDS, variants) == scores
+        assert match_fraction_many(suite, KEYWORDS, variants) == scores
         assert gateway.client("s").counters.semantic_hits == len(base)
 
 
@@ -474,7 +482,7 @@ class TestKnobs:
                                              semantic_threshold=0.999))
         meter = CostMeter()
         model = EmbeddingModel(lexicon=default_lexicon(), cost_meter=meter)
-        proxy = GatewayEmbeddings(model, gateway.client("s"))
+        proxy = GatewayModelProxy(model, gateway.client("s"))
         proxy.match_fraction(list(KEYWORDS), ["war", "battle"])
         proxy.match_fraction(list(reversed(KEYWORDS)), ["battle", "war"])
         flat = gateway.flat_stats()

@@ -32,6 +32,13 @@ from repro.relational.table import Table
 KEYWORDS = ["gun", "fight", "attack", "explosion"]
 
 
+def match_fraction_many(suite, query_terms, candidate_lists):
+    """One vectorized ``match_fraction`` per candidate list."""
+    return suite.call_many("embeddings", "match_fraction",
+                           [((query_terms, candidates), {})
+                            for candidates in candidate_lists])
+
+
 def make_node(name, inputs, output, **params):
     return LogicalPlanNode(name=name, description=name, inputs=inputs,
                            output=output, dependency_pattern="one_to_one",
@@ -160,10 +167,10 @@ class TestPopulatorEquivalence:
         posters = vec_tables["poster_images"]
         serial_models = ModelSuite.create(seed=7)
         batched_models = ModelSuite.create(seed=7)
-        serial = populate_scene_graph(posters.rows, serial_models.vlm,
+        serial = populate_scene_graph(posters.rows, serial_models,
                                       lineage=LineageStore(), parent_lid=1,
                                       batch_size=1)
-        batched = populate_scene_graph(posters.rows, batched_models.vlm,
+        batched = populate_scene_graph(posters.rows, batched_models,
                                        lineage=LineageStore(), parent_lid=1,
                                        batch_size=5)
         for name, table in serial.as_dict().items():
@@ -178,10 +185,10 @@ class TestPopulatorEquivalence:
         plots = vec_tables["film_plot"]
         serial_models = ModelSuite.create(seed=7)
         batched_models = ModelSuite.create(seed=7)
-        serial = populate_text_graph(plots.rows, serial_models.ner,
+        serial = populate_text_graph(plots.rows, serial_models,
                                      lineage=LineageStore(), parent_lid=1,
                                      batch_size=1)
-        batched = populate_text_graph(plots.rows, batched_models.ner,
+        batched = populate_text_graph(plots.rows, batched_models,
                                       lineage=LineageStore(), parent_lid=1,
                                       batch_size=4)
         for name, table in serial.as_dict().items():
@@ -208,7 +215,7 @@ class TestGatewayBatchClient:
         routed.embeddings.match_fraction(KEYWORDS, lists[2])
         warm = client.counters.snapshot()
 
-        scores = routed.embeddings.match_fraction_batch(KEYWORDS, lists)
+        scores = match_fraction_many(routed, KEYWORDS, lists)
         delta = client.counters.delta(warm)
         assert delta["hits"] == 2
         assert delta["misses"] == 2          # only the misses executed
@@ -219,7 +226,7 @@ class TestGatewayBatchClient:
         # Every member (hit or computed) is now cached: a re-issue of the
         # full vector answers entirely from the cache and charges nothing.
         rerun_marker = client.counters.snapshot()
-        rerun = routed.embeddings.match_fraction_batch(KEYWORDS, lists)
+        rerun = match_fraction_many(routed, KEYWORDS, lists)
         rerun_delta = client.counters.delta(rerun_marker)
         assert rerun == scores
         assert rerun_delta["hits"] == len(lists)
@@ -230,8 +237,8 @@ class TestGatewayBatchClient:
         gateway, routed = self._routed()
         client = routed.gateway_client
         routed.embeddings.match_fraction(KEYWORDS, ["war", "battle"])
-        routed.embeddings.match_fraction_batch(
-            KEYWORDS, [["war", "battle"], ["picnic"], ["gun", "chase"]])
+        match_fraction_many(routed, KEYWORDS,
+                            [["war", "battle"], ["picnic"], ["gun", "chase"]])
         counters = client.counters
         # What the gateway charged the session == its admission ledger ==
         # what actually landed on the session's own meter.
@@ -242,8 +249,7 @@ class TestGatewayBatchClient:
 
     def test_duplicate_members_share_one_computation(self):
         gateway, routed = self._routed()
-        scores = routed.embeddings.match_fraction_batch(
-            KEYWORDS, [["war", "battle"]] * 5)
+        scores = match_fraction_many(routed, KEYWORDS, [["war", "battle"]] * 5)
         assert len(set(scores)) == 1
         assert gateway.flat_stats()["cache_entries"] == 1
 
@@ -253,7 +259,7 @@ class TestGatewayBatchClient:
         # (in-batch dedup), not re-execute in a later one.
         gateway, routed = self._routed(max_batch=4)
         lists = [[f"term{i}", "battle"] for i in range(5)] + [["term0", "battle"]]
-        scores = routed.embeddings.match_fraction_batch(KEYWORDS, lists)
+        scores = match_fraction_many(routed, KEYWORDS, lists)
         assert scores[0] == scores[-1]
         counters = routed.gateway_client.counters
         assert counters.batch_calls == 2
@@ -268,12 +274,11 @@ class TestGatewayBatchClient:
         # composition; a one-call vector is exactly a serial call).
         gateway, routed = self._routed(enable_semantic=True,
                                        semantic_threshold=0.95)
-        routed.embeddings.match_fraction_batch(KEYWORDS, [["war", "battle"]])
+        match_fraction_many(routed, KEYWORDS, [["war", "battle"]])
         marker = routed.gateway_client.counters.snapshot()
         # A near-identical (not byte-identical) candidate list: the exact
         # cache misses, the semantic tier answers.
-        routed.embeddings.match_fraction_batch(KEYWORDS,
-                                               [["war", "battle", "battle"]])
+        match_fraction_many(routed, KEYWORDS, [["war", "battle", "battle"]])
         delta = routed.gateway_client.counters.delta(marker)
         assert delta["semantic_hits"] == 1
         assert delta["batch_calls"] == 0
@@ -281,17 +286,17 @@ class TestGatewayBatchClient:
     def test_batching_disabled_falls_back_to_serial_funnel(self):
         gateway, routed = self._routed(enable_batching=False)
         client = routed.gateway_client
-        scores = routed.embeddings.match_fraction_batch(
-            KEYWORDS, [["war", "battle"], ["picnic"]])
+        scores = match_fraction_many(routed, KEYWORDS,
+                                     [["war", "battle"], ["picnic"]])
         assert len(scores) == 2
         assert client.counters.batch_calls == 0
         assert client.counters.misses == 2
 
     def test_quota_refuses_batches_beyond_the_budget(self):
         gateway, routed = self._routed(session_token_quota=1)
-        routed.embeddings.match_fraction_batch(KEYWORDS, [["war", "battle"]] * 2)
+        match_fraction_many(routed, KEYWORDS, [["war", "battle"]] * 2)
         with pytest.raises(SessionQuotaExceededError):
-            routed.embeddings.match_fraction_batch(KEYWORDS, [["picnic"], ["beach"]])
+            match_fraction_many(routed, KEYWORDS, [["picnic"], ["beach"]])
 
     def test_concurrent_identical_batches_coalesce(self):
         """Batch members publish into the in-flight table: with the cache
@@ -355,33 +360,79 @@ DIFF_VARIANTS = {
 }
 DIFF_FLAGS = ("enable_cache", "enable_coalescing", "enable_batching",
               "enable_semantic")
+_DIFF_MOVIES = build_movie_corpus(size=len(DIFF_BASE), seed=7).movies
+_DIFF_QUESTIONS = {"same": "Is this poster boring and plain?",
+                   "title": "Is this poster vivid and action-packed?",
+                   "reversed": "Does the poster contain a gun?"}
+
+
+def _diff_text(index, variant):
+    return " ".join(DIFF_VARIANTS[variant](_DIFF_MOVIES[index].plot.split()))
+
+
+#: Every method that used to have a ``*_batch`` twin: (kind, method) -> the
+#: call for one (base index, variant) pick.
+DIFF_CALLS = {
+    ("embeddings", "match_fraction"): lambda index, variant: (
+        (KEYWORDS, DIFF_VARIANTS[variant](DIFF_BASE[index])), {}),
+    ("embeddings", "embed_text"): lambda index, variant: (
+        (_diff_text(index, variant),), {}),
+    ("ner", "extract"): lambda index, variant: ((_diff_text(index, variant),), {}),
+    ("vlm", "extract_scene_graph"): lambda index, variant: (
+        (_DIFF_MOVIES[index].poster,), {}),
+    ("vlm", "answer_visual_question"): lambda index, variant: (
+        (_DIFF_MOVIES[index].poster, _DIFF_QUESTIONS[variant]), {}),
+    ("detector", "detect"): lambda index, variant: ((_DIFF_MOVIES[index].poster,), {}),
+    ("ocr", "extract_text"): lambda index, variant: ((_DIFF_MOVIES[index].poster,), {}),
+}
+
+
+def _comparable(result):
+    """Results as comparable values (embeddings are numpy vectors)."""
+    return result.tobytes() if hasattr(result, "tobytes") else repr(result)
 
 
 class TestSerialVectorDifferential:
-    """``match_fraction_batch`` is a serial loop of ``match_fraction``."""
+    """``call_many`` is a serial loop of the declared method, for every
+    method that used to have a ``*_batch`` twin."""
 
     @staticmethod
-    def _run(config, warm, lists, vectorized):
+    def _run(config, kind, method, warm, calls, vectorized):
         gateway = ModelGateway(GatewayConfig(semantic_threshold=0.999,
                                              **config))
         routed = ModelSuite.create(seed=7).fork().routed(gateway, "s1")
+        serial = getattr(getattr(routed, kind), method)
         for index in warm:
-            routed.embeddings.match_fraction(KEYWORDS, list(DIFF_BASE[index]))
+            args, kwargs = DIFF_CALLS[kind, method](index, "same")
+            serial(*args, **kwargs)
         client = routed.gateway_client
         marker = client.counters.snapshot()
         if vectorized:
-            scores = routed.embeddings.match_fraction_batch(KEYWORDS, lists)
+            results = routed.call_many(kind, method, calls)
         else:
-            scores = [routed.embeddings.match_fraction(KEYWORDS, terms)
-                      for terms in lists]
+            results = [serial(*args, **kwargs) for args, kwargs in calls]
         delta = client.counters.delta(marker)
         assert (delta["hits"] + delta["semantic_hits"] + delta["misses"]
-                + delta["coalesced"]) == len(lists)
+                + delta["coalesced"]) == len(calls)
         assert client.counters.tokens_charged == gateway.admission.spent("s1") \
             == routed.cost_meter.total_tokens
         ledger = [(c.model, c.purpose, c.total_tokens)
                   for c in routed.cost_meter.calls]
-        return scores, client.counters.as_dict(), ledger
+        return ([_comparable(result) for result in results],
+                client.counters.as_dict(), ledger)
+
+    def _check(self, kind_method, config, max_batch, warm, picks):
+        kind, method = kind_method
+        config = dict(config, max_batch=max_batch)
+        calls = [DIFF_CALLS[kind_method](index, variant) for index, variant in picks]
+        serial, serial_counters, serial_ledger = self._run(
+            config, kind, method, warm, calls, False)
+        vector, vector_counters, vector_ledger = self._run(
+            config, kind, method, warm, calls, True)
+        assert vector == serial
+        if not config["enable_batching"]:
+            assert vector_ledger == serial_ledger
+            assert vector_counters == serial_counters
 
     @settings(max_examples=50, deadline=None)
     @given(config=st.fixed_dictionaries({flag: st.booleans() for flag in DIFF_FLAGS}),
@@ -391,15 +442,32 @@ class TestSerialVectorDifferential:
                                     st.sampled_from(sorted(DIFF_VARIANTS))),
                           min_size=1, max_size=8))
     def test_vector_matches_serial_loop(self, config, max_batch, warm, picks):
-        config = dict(config, max_batch=max_batch)
-        lists = [DIFF_VARIANTS[variant](DIFF_BASE[index])
-                 for index, variant in picks]
-        serial, serial_counters, serial_ledger = self._run(config, warm, lists, False)
-        vector, vector_counters, vector_ledger = self._run(config, warm, lists, True)
+        self._check(("embeddings", "match_fraction"), config, max_batch, warm, picks)
+
+    @pytest.mark.parametrize("kind_method", sorted(
+        set(DIFF_CALLS) - {("embeddings", "match_fraction")}), ids=".".join)
+    @settings(max_examples=50, deadline=None)
+    @given(config=st.fixed_dictionaries({flag: st.booleans() for flag in DIFF_FLAGS}),
+           max_batch=st.sampled_from([2, 32]),
+           warm=st.lists(st.integers(0, len(DIFF_BASE) - 1), max_size=3),
+           picks=st.lists(st.tuples(st.integers(0, len(DIFF_BASE) - 1),
+                                    st.sampled_from(sorted(DIFF_VARIANTS))),
+                          min_size=1, max_size=8))
+    def test_former_twin_matches_serial_loop(self, kind_method, config, max_batch,
+                                             warm, picks):
+        self._check(kind_method, config, max_batch, warm, picks)
+
+    @pytest.mark.parametrize("kind_method", sorted(DIFF_CALLS), ids=".".join)
+    def test_every_former_twin_batches(self, kind_method):
+        kind, method = kind_method
+        calls = [DIFF_CALLS[kind_method](index, "same")
+                 for index in range(len(DIFF_BASE))]
+        serial, _, serial_ledger = self._run({}, kind, method, [], calls, False)
+        vector, counters, vector_ledger = self._run({}, kind, method, [], calls, True)
         assert vector == serial
-        if not config["enable_batching"]:
-            assert vector_ledger == serial_ledger
-            assert vector_counters == serial_counters
+        assert counters["batch_calls"] == 1
+        assert sum(tokens for _, _, tokens in vector_ledger) < \
+            sum(tokens for _, _, tokens in serial_ledger)
 
 
 class TestWindowedStats:
