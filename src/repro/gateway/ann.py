@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional
 
 import numpy as np
 
@@ -224,10 +224,3 @@ class LSHIndex:
         payload.update(self.stats.as_dict())
         return payload
 
-
-def bucket_spread(index: LSHIndex) -> Tuple[int, float]:
-    """(bucket count, mean occupancy) — a quick skew probe for benchmarks."""
-    occupancy = index.occupancy()
-    buckets = occupancy["buckets"]
-    mean = occupancy["entries"] / buckets if buckets else 0.0
-    return buckets, mean

@@ -411,6 +411,7 @@ class ModelGateway:
             "semantic_hits": stats["semantic"]["near_hits"],
             "semantic_entries": stats["semantic"]["entries"],
             "semantic_mode": stats["semantic"]["mode"],
+            "semantic_memo": stats["semantic"]["semantic_memo"],
             # ANN health: how spread the signature index is and how much
             # probing lookups are doing (occupancy skew => raise planes,
             # recall misses => raise probes).

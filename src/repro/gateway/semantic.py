@@ -38,6 +38,16 @@ kwargs) — diverged lexicons, or the same terms under a different
 Invalidation keeps the LSH index and the entry store in lockstep: every
 eviction, ``clear()`` (the corpus-reload path included), and capacity
 sweep drops the index entry alongside the cached answer, under one lock.
+
+**Per-signature memo.**  A search's answer depends only on its group's
+contents and its signature, so ``search`` remembers, per group, which entry
+it served each signature and answers a repeat from that memo before any
+embedding or cosine scan.  Three rules keep it exact: ``put`` drops the memo
+of the group it writes to, each capacity eviction drops the memo of the
+group it evicts from, and ``clear()`` drops every memo.  The memo holds at
+most ``capacity`` signatures and is reset when full.  It lives inside the
+tier, so a disabled tier serves nothing and an evicted entry is never
+served.  It assumes ``threshold`` and ``mode`` stay as constructed.
 """
 
 from __future__ import annotations
@@ -46,7 +56,7 @@ import copy
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -80,6 +90,20 @@ class SemanticStats:
     def as_dict(self) -> Dict[str, int]:
         return {"near_hits": self.near_hits, "fallbacks": self.fallbacks,
                 "tokens_saved": self.tokens_saved, "entries": self.entries}
+
+
+class SemanticLookup(NamedTuple):
+    """One search's outcome.
+
+    ``entry`` is the served answer (None: execute exactly), ``probes`` the
+    buckets scanned (0 on a memo hit), and ``vector`` the request's
+    signature embedding — always set when ``entry`` is None, so the caller
+    can ``put`` the exact answer without embedding twice.
+    """
+
+    entry: Optional[SemanticEntry]
+    probes: int
+    vector: Optional[np.ndarray]
 
 
 def term_signature(query_terms: Sequence[Any], candidate_terms: Sequence[Any]) -> str:
@@ -120,13 +144,17 @@ class SemanticNearCache:
         # within a group in insertion order.  Kept in *both* modes: it is
         # the eviction order and the linear-scan store.
         self._groups: "OrderedDict[Tuple, List[SemanticEntry]]" = OrderedDict()
-        # The ANN index is maintained even in linear mode (so flipping the
-        # mode knob on a live gateway needs no rebuild) — its upkeep is one
-        # O(planes·dims) hash per insert/evict.
+        # The ANN index is maintained even in linear mode (its occupancy is
+        # reported either way) — its upkeep is one O(planes·dims) hash per
+        # insert/evict.
         self.index = LSHIndex(planes=planes, probes=probes,
                               dimensions=self._embedder.vector_width)
         self._lock = threading.Lock()
         self.stats = SemanticStats()
+        # group -> signature -> the stored entry search served it (module
+        # docstring: the memo and its three invalidation rules).
+        self._memo: Dict[Tuple, Dict[str, SemanticEntry]] = {}
+        self._memo_size = 0
         # Optional persistence (repro.gateway.persist.GatewayCacheStore):
         # stored answers write through as (group, signature, result, cost);
         # vectors are re-embedded on restore() — embed_signature is
@@ -137,9 +165,9 @@ class SemanticNearCache:
         return self._embedder.embed_text(signature, purpose="gateway_signature")
 
     # -- lookup -------------------------------------------------------------------
-    def search(self, group: Tuple, vector: np.ndarray,
-               signature: str) -> Tuple[Optional[SemanticEntry], int]:
-        """``(served entry or None, buckets probed)`` for one request.
+    def search(self, group: Tuple, signature: str,
+               vector: Optional[np.ndarray] = None) -> SemanticLookup:
+        """Look one request up; see :class:`SemanticLookup`.
 
         A signature-identical entry wins outright (it is the same request,
         canonically); otherwise the cosine-nearest candidate is served when
@@ -147,7 +175,19 @@ class SemanticNearCache:
         means no stored request qualified — the caller must then execute
         exactly.  The probe count is the ANN bucket scans issued (a linear
         scan reports one "probe" covering the whole group).
+
+        Without ``vector`` the search embeds ``signature`` itself and may
+        answer from, and record into, the per-signature memo.  A caller
+        passing its own ``vector`` bypasses the memo: the memo is only exact
+        for the signature's own embedding.
         """
+        memoized = vector is None
+        if vector is None:
+            with self._lock:
+                entry = self._memo.get(group, {}).get(signature)
+                if entry is not None:
+                    return SemanticLookup(self._serve(entry), 0, None)
+            vector = self.embed_signature(signature)
         with self._lock:
             probes_before = self.index.stats.probes
             if self.mode == "ann":
@@ -167,20 +207,33 @@ class SemanticNearCache:
                     best, best_score = entry, score
             if best is None or best_score < self.threshold:
                 self.stats.fallbacks += 1
-                return None, probes
-            best.hits += 1
-            self.stats.near_hits += 1
-            self.stats.tokens_saved += best.token_cost
-            served = SemanticEntry(vector=best.vector, signature=best.signature,
-                                   result=copy.deepcopy(best.result),
-                                   token_cost=best.token_cost, hits=best.hits)
-            return served, probes
+                return SemanticLookup(None, probes, vector)
+            if memoized:
+                if self._memo_size >= self.capacity:
+                    self._memo.clear()
+                    self._memo_size = 0
+                memo = self._memo.setdefault(group, {})
+                self._memo_size += signature not in memo
+                memo[signature] = best
+            return SemanticLookup(self._serve(best), probes, vector)
 
-    def lookup(self, group: Tuple, vector: np.ndarray,
-               signature: str) -> Optional[SemanticEntry]:
+    def _serve(self, entry: SemanticEntry) -> SemanticEntry:
+        """Count one near-hit on ``entry`` and hand out a private copy."""
+        entry.hits += 1
+        self.stats.near_hits += 1
+        self.stats.tokens_saved += entry.token_cost
+        return SemanticEntry(vector=entry.vector, signature=entry.signature,
+                             result=copy.deepcopy(entry.result),
+                             token_cost=entry.token_cost, hits=entry.hits)
+
+    def lookup(self, group: Tuple, signature: str,
+               vector: Optional[np.ndarray] = None) -> Optional[SemanticEntry]:
         """The stored answer matching ``signature``/``vector``, if any."""
-        entry, _ = self.search(group, vector, signature)
-        return entry
+        return self.search(group, signature, vector).entry
+
+    def _forget(self, group: Tuple) -> None:
+        """Drop ``group``'s memo (caller holds the lock)."""
+        self._memo_size -= len(self._memo.pop(group, ()))
 
     # -- maintenance --------------------------------------------------------------
     def put(self, group: Tuple, vector: np.ndarray, signature: str, result: Any,
@@ -202,6 +255,7 @@ class SemanticNearCache:
             entries.append(entry)
             self.index.add(group, vector, entry)
             self.stats.entries += 1
+            self._forget(group)
             # Evict globally, oldest-group-first, so the configured capacity
             # bounds the whole tier rather than each group.  The index entry
             # goes with the cache entry — an evicted answer must never be
@@ -211,6 +265,7 @@ class SemanticNearCache:
                 evicted = oldest_entries.pop(0)
                 self.index.remove(oldest_group, evicted.vector, evicted)
                 self.stats.entries -= 1
+                self._forget(oldest_group)
                 if not oldest_entries:
                     del self._groups[oldest_group]
 
@@ -246,11 +301,14 @@ class SemanticNearCache:
             self._groups.clear()
             self.index.clear()
             self.stats.entries = 0
+            self._memo.clear()
+            self._memo_size = 0
 
     # -- observability ------------------------------------------------------------
     def as_dict(self) -> Dict[str, Any]:
         with self._lock:
             payload: Dict[str, Any] = self.stats.as_dict()
             payload["mode"] = self.mode
+            payload["semantic_memo"] = self._memo_size
             payload["ann"] = self.index.as_dict()
             return payload

@@ -11,7 +11,11 @@ vectors.  For each call, cheapest tier first:
    (:mod:`repro.gateway.cache`), so a vector that partially overlaps earlier
    traffic only executes its misses;
 2. **semantic near-match** — predicate calls are offered to the signature
-   lookup (:mod:`repro.gateway.semantic`);
+   lookup (:mod:`repro.gateway.semantic`).  A signature the tier already
+   served answers from its per-signature memo without an embedding; the
+   memo is dropped for a group on every ``put`` into it and every eviction
+   from it, and entirely on ``clear()``.  Only a memo miss embeds the
+   signature, and that vector is what a computed answer is stored under;
 3. **coalescing** — a miss another caller is already executing waits for
    that execution (:mod:`repro.gateway.coalesce`);
 4. **execution** — misses run in chunks of whole key groups, at most
@@ -150,11 +154,11 @@ class GatewayBatchClient:
                     group = semantic_group(model_name, method,
                                            canonical_kwargs, lexicon_fp)
                     signature = term_signature(*semantic_terms_of(args, kwargs))
-                    vector = gateway.semantic.embed_signature(signature)
-                    near, probes = gateway.semantic.search(group, vector,
-                                                           signature)
-                    gateway.note_event("semantic_probes", probes, 0,
-                                       client.session_id)
+                    near, probes, vector = gateway.semantic.search(group,
+                                                                   signature)
+                    if probes:
+                        gateway.note_event("semantic_probes", probes, 0,
+                                           client.session_id)
                     if near is not None:
                         client.counters.semantic_hits += 1
                         client.counters.tokens_saved += near.token_cost

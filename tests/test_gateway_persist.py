@@ -198,15 +198,15 @@ class TestRestartRoundTrip:
         assert occupancy["entries"] == 1
         assert occupancy["buckets"] > 0
         # The identical signature is served through the rebuilt index ...
-        hit = rebuilt.lookup(group, rebuilt.embed_signature(stored_signature),
-                             stored_signature)
+        hit = rebuilt.lookup(group, stored_signature,
+                             rebuilt.embed_signature(stored_signature))
         assert hit is not None and hit.result == 0.8
         # ... while dissimilar requests fall back at the 0.999 threshold:
         # a restored entry must never be a false accept.
         for terms in (["sunset", "romance"], ["paperwork"], ["gun"]):
             other = term_signature(terms, ["thriller"])
-            assert rebuilt.lookup(group, rebuilt.embed_signature(other),
-                                  other) is None
+            assert rebuilt.lookup(group, other,
+                                  rebuilt.embed_signature(other)) is None
         store.close()
 
     def test_corpus_reload_restores_persisted_semantic_entries(self, tmp_path):
@@ -220,6 +220,6 @@ class TestRestartRoundTrip:
         # The volatile clear wiped the tier, then restored it from the store:
         # persisted signatures fully determine their answers.
         assert service.gateway.semantic.stats.entries == 1
-        assert service.gateway.semantic.lookup(group, vector,
-                                               signature) is not None
+        assert service.gateway.semantic.lookup(group, signature,
+                                               vector) is not None
         service.shutdown()

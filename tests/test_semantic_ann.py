@@ -10,10 +10,22 @@ serves no false accepts against exact execution, and the config/CLI knobs
 reach the index.
 """
 
+import random
+import sys
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro import KathDBConfig, KathDBService, build_movie_corpus
+from repro import (
+    KathDBConfig,
+    KathDBService,
+    QueryRequest,
+    ScriptedUser,
+    build_default_workload,
+    build_movie_corpus,
+)
 from repro.core.config import SEMANTIC_SIMILARITY_THRESHOLD
 from repro.core.config import KathDBConfig as CoreConfig
 from repro.errors import KathDBError
@@ -123,8 +135,8 @@ class TestAnnLinearEquivalence:
         ann = SemanticNearCache(threshold=threshold, mode="ann")
         stream = signature_stream(linear)
         for signature, vector in stream:
-            linear_hit, _ = linear.search(GROUP, vector, signature)
-            ann_hit, _ = ann.search(GROUP, vector, signature)
+            linear_hit = linear.search(GROUP, signature, vector).entry
+            ann_hit = ann.search(GROUP, signature, vector).entry
             # Same decision and, on a hit, the same served answer.
             assert (linear_hit is None) == (ann_hit is None), signature
             if linear_hit is not None:
@@ -148,8 +160,8 @@ class TestAnnLinearEquivalence:
         stream = signature_stream(linear)
         divergences = 0
         for signature, vector in stream:
-            linear_hit, _ = linear.search(GROUP, vector, signature)
-            ann_hit, _ = ann.search(GROUP, vector, signature)
+            linear_hit = linear.search(GROUP, signature, vector).entry
+            ann_hit = ann.search(GROUP, signature, vector).entry
             if ann_hit is not None:
                 assert linear_hit is not None
                 assert ann_hit.result == linear_hit.result
@@ -177,8 +189,8 @@ class TestAnnLinearEquivalence:
         # signatures similar).
         probe_sig = term_signature(("tea", "garden"), ("submarine", "opera"))
         probe_vec = linear.embed_signature(probe_sig)
-        assert linear.search(GROUP, probe_vec, probe_sig)[0] is None
-        assert ann.search(GROUP, probe_vec, probe_sig)[0] is None
+        assert linear.search(GROUP, probe_sig, probe_vec).entry is None
+        assert ann.search(GROUP, probe_sig, probe_vec).entry is None
 
 
 class TestMultiProbeRecall:
@@ -205,7 +217,7 @@ class TestMultiProbeRecall:
         cache = SemanticNearCache(threshold=0.999, mode="ann", probes=0)
         signature, stored, query = self._boundary_pair(cache)
         cache.put(GROUP, stored, signature, 0.5)
-        entry, probes = cache.search(GROUP, query, "another-signature")
+        entry, probes, _ = cache.search(GROUP, "another-signature", query)
         assert entry is None                # recall miss: wrong bucket
         assert probes == 1                  # only the home bucket scanned
 
@@ -213,14 +225,14 @@ class TestMultiProbeRecall:
         cache = SemanticNearCache(threshold=0.999, mode="ann", probes=8)
         signature, stored, query = self._boundary_pair(cache)
         cache.put(GROUP, stored, signature, 0.5)
-        entry, probes = cache.search(GROUP, query, "another-signature")
+        entry, probes, _ = cache.search(GROUP, "another-signature", query)
         assert entry is not None            # the flipped bit was probed
         assert entry.result == 0.5
         assert probes >= 2
         # Linear mode agrees, so multi-probe restored exact-scan recall.
         linear = SemanticNearCache(threshold=0.999, mode="linear")
         linear.put(GROUP, stored, signature, 0.5)
-        assert linear.search(GROUP, query, "another-signature")[0] is not None
+        assert linear.search(GROUP, "another-signature", query).entry is not None
 
 
 class TestInvalidation:
@@ -278,6 +290,208 @@ class TestInvalidation:
                                                ["battle", "war"])
         assert service.gateway.semantic.stats.entries > 0
         assert len(service.gateway.semantic.index) > 0
+        service.shutdown()
+
+
+#: Random tier traffic: (operation, group index, signature index).  Four
+#: signatures — one, a superset of it, its case variant, an unrelated one —
+#: recur often enough to be served from the memo; capacity ~4 over 2-3
+#: groups makes evictions cross groups.
+MEMO_OPS = st.lists(st.tuples(st.sampled_from(("put", "put", "search", "search",
+                                               "search", "search", "search",
+                                               "clear")),
+                              st.integers(0, 2), st.integers(0, 3)),
+                    min_size=8, max_size=48)
+
+
+class TestSignatureMemo:
+    """The per-signature memo serves exactly what a fresh scan would."""
+
+    @pytest.mark.parametrize("mode", ["linear", "ann"])
+    @settings(max_examples=150, deadline=None)
+    @given(ops=MEMO_OPS, groups=st.integers(2, 3), capacity=st.integers(3, 5),
+           threshold=st.sampled_from([0.97, 0.999]))
+    def test_memo_matches_a_memo_free_scan(self, mode, ops, groups, capacity,
+                                           threshold):
+        # Twin tiers see the same puts and clears.  ``memoized`` searches by
+        # signature alone (memo on); ``scanned`` is handed the vector, which
+        # bypasses the memo, so every search of it is a scan of the current
+        # entries.
+        memoized = SemanticNearCache(threshold=threshold, capacity=capacity,
+                                     mode=mode)
+        scanned = SemanticNearCache(threshold=threshold, capacity=capacity,
+                                    mode=mode)
+        stream = signature_stream(scanned)
+        for step, (op, group_index, signature_index) in enumerate(ops):
+            group = GROUP + (group_index % groups,)
+            signature, vector = stream[signature_index]
+            if op == "clear":
+                memoized.clear()
+                scanned.clear()
+            elif op == "put":
+                # A per-step result: serving a stale entry cannot go unseen.
+                result = f"{signature}#{step}"
+                memoized.put(group, vector, signature, result, token_cost=step)
+                scanned.put(group, vector, signature, result, token_cost=step)
+            else:
+                got = memoized.search(group, signature)
+                want = scanned.search(group, signature, vector)
+                assert (got.entry is None) == (want.entry is None)
+                if want.entry is None:
+                    assert np.array_equal(got.vector, vector)
+                else:
+                    assert (got.entry.signature, got.entry.result,
+                            got.entry.token_cost, got.entry.hits) == \
+                        (want.entry.signature, want.entry.result,
+                         want.entry.token_cost, want.entry.hits)
+            assert memoized.stats.as_dict() == scanned.stats.as_dict()
+            assert memoized.as_dict()["semantic_memo"] <= capacity
+            assert scanned.as_dict()["semantic_memo"] == 0
+
+    def test_invalidation_rules(self):
+        cache = SemanticNearCache(threshold=0.999, capacity=3, mode="ann")
+        (a, vec_a), (b, vec_b), (c, vec_c) = signature_stream(cache)[3:6]
+        g0, g1 = GROUP + (0,), GROUP + (1,)
+        cache.put(g0, vec_a, a, "a")
+        assert cache.search(g0, a).probes >= 1          # scan, then memo
+        repeat = cache.search(g0, a)
+        assert repeat.probes == 0 and repeat.entry.result == "a"
+        assert repeat.entry.hits == 2 and cache.stats.near_hits == 2
+        assert cache.as_dict()["semantic_memo"] == 1
+        # A put into another group keeps g0's memo; a put into g0 drops it.
+        cache.put(g1, vec_b, b, "b")
+        assert cache.as_dict()["semantic_memo"] == 1
+        cache.put(g0, vec_c, c, "c")
+        assert cache.as_dict()["semantic_memo"] == 0
+        cache.search(g0, a)
+        cache.search(g1, b)
+        assert cache.as_dict()["semantic_memo"] == 2
+        # At capacity, a put into g1 evicts g0's oldest entry (``a``) and
+        # drops g0's memo with it: ``a`` falls back instead of being served.
+        cache.put(g1, vec_c, c, "c1")
+        assert cache.as_dict()["semantic_memo"] == 0
+        assert cache.search(g0, a).entry is None
+        cache.search(g0, c)
+        assert cache.as_dict()["semantic_memo"] == 1
+        cache.clear()
+        assert cache.as_dict()["semantic_memo"] == 0
+        assert cache.search(g0, c).entry is None
+
+    def test_memo_is_bounded_by_capacity(self):
+        cache = SemanticNearCache(threshold=0.999, capacity=2, mode="linear")
+        stream = signature_stream(cache)
+        for index, (signature, vector) in enumerate(stream[3:5]):
+            cache.put(GROUP + (index,), vector, signature, signature)
+        for index, (signature, _) in enumerate(stream[3:5]):
+            cache.search(GROUP + (index,), signature)
+        assert cache.as_dict()["semantic_memo"] == 2
+        # A third signature served into a full memo resets it first.
+        cache.search(GROUP + (0,), stream[3][0].upper())
+        assert cache.as_dict()["semantic_memo"] == 1
+
+    def test_concurrent_traffic_keeps_the_memo_consistent(self):
+        # More threads than cores, switching every microsecond: a lost
+        # update to the memo or its size counter breaks the checks below.
+        # 3 groups x 4 signatures never fill a 16-signature memo, and no
+        # clear() runs, so nothing resets a miscount before the end; puts
+        # still evict across groups.
+        cache = SemanticNearCache(threshold=0.97, capacity=16, mode="ann")
+        stream = signature_stream(cache)[:4]
+        searches = []
+
+        def traffic(seed):
+            rng = random.Random(seed)
+            for _ in range(300):
+                group = GROUP + (rng.randrange(3),)
+                signature, vector = rng.choice(stream)
+                if rng.random() < 0.3:
+                    cache.put(group, vector, signature, signature)
+                else:
+                    entry = cache.search(group, signature).entry
+                    searches.append(entry is None or entry.result == entry.signature)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=traffic, args=(seed,))
+                       for seed in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(searches) > 0 and all(searches)
+        assert cache.stats.near_hits + cache.stats.fallbacks == len(searches)
+        memo = cache._memo
+        assert cache.as_dict()["semantic_memo"] == \
+            sum(len(signatures) for signatures in memo.values()) <= cache.capacity
+        # Every memoized entry is still stored in its group.
+        for group, signatures in memo.items():
+            stored = cache._groups.get(group, [])
+            assert all(any(entry is kept for kept in stored)
+                       for entry in signatures.values())
+
+
+class TestWarmServiceMemo:
+    """A warm 300-doc service answers repeat passes from the memo."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return build_movie_corpus(size=300, seed=7)
+
+    @staticmethod
+    def run_pass(service):
+        """The six default shapes once, as the service's own requests.
+
+        Returns the rows and the service-wide windowed gateway counters the
+        pass added.
+        """
+        before = service.gateway_stats(window_s=3600.0)["windowed"]
+        rows = []
+        for shape in build_default_workload().queries:
+            user = ScriptedUser(dict(shape.clarification_answers),
+                                corrections=list(shape.corrections))
+            response = service.query(QueryRequest(nl_query=shape.nl_query,
+                                                  user=user))
+            assert response.ok, response.error
+            rows.append(response.result.rows())
+        after = service.gateway_stats(window_s=3600.0)["windowed"]
+        return rows, {key: after[key] - before[key]
+                      for key in ("semantic_hits", "semantic_probes")}
+
+    @pytest.fixture(scope="class")
+    def exact_pass(self, corpus):
+        """One pass with the tier disabled: rows of exact execution."""
+        service = KathDBService(KathDBConfig(seed=7, enable_semantic_cache=False))
+        service.load_corpus(corpus)
+        try:
+            return self.run_pass(service)
+        finally:
+            service.shutdown()
+
+    def test_repeat_pass_is_served_from_the_memo(self, corpus, exact_pass,
+                                                 monkeypatch):
+        exact_rows, exact = exact_pass
+        assert exact["semantic_hits"] == 0
+        service = KathDBService(KathDBConfig(seed=7))
+        service.load_corpus(corpus)
+        semantic = service.gateway.semantic
+        for _ in range(2):
+            self.run_pass(service)
+        previous_rows, previous = self.run_pass(service)
+        embeds = []
+        embed = semantic.embed_signature
+        monkeypatch.setattr(semantic, "embed_signature",
+                            lambda signature: embeds.append(signature)
+                            or embed(signature))
+        rows, repeat = self.run_pass(service)
+        assert repeat["semantic_probes"] == 0
+        assert embeds == []
+        assert repeat["semantic_hits"] == previous["semantic_hits"] > 0
+        assert rows == previous_rows == exact_rows
+        assert 0 < service.gateway_stats()["semantic_memo"] <= semantic.capacity
         service.shutdown()
 
 
@@ -416,7 +630,7 @@ class TestAccuracyAudit:
         for query, candidates in stream:
             signature = term_signature(query, candidates)
             vector = cache.embed_signature(signature)
-            entry, _ = cache.search(GROUP, vector, signature)
+            entry = cache.search(GROUP, signature, vector).entry
             exact = model.match_fraction(list(query), list(candidates))
             if entry is None:
                 cache.put(GROUP, vector, signature, exact)
