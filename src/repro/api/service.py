@@ -28,7 +28,7 @@ from repro.data.mmqa import MovieCorpus
 from repro.datamodel.lineage import LineageStore
 from repro.datamodel.views import PopulationReport, ViewPopulator
 from repro.fao.registry import FunctionRegistry
-from repro.gateway.gateway import ModelGateway
+from repro.gateway.gateway import GatewayConfig, ModelGateway
 from repro.interaction.user import UserAgent
 from repro.models.base import ModelSuite
 from repro.models.cost import CostMeter
@@ -91,7 +91,7 @@ class KathDBService(RequestFrontend):
         self.populator = ViewPopulator(
             self.gateway.route(self.models, "loader", quota_exempt=True),
             self.catalog, self.lineage,
-            batch_size=self.config.effective_batch_size())
+            batch_size=GatewayConfig.max_batch)
         self.profile_cache = (
             ProfileCache(path=self.config.profile_cache_path,
                          backend=(self.skill_store.backend
@@ -147,7 +147,7 @@ class KathDBService(RequestFrontend):
             "explore_variants": config.explore_variants,
             "min_accuracy": config.min_accuracy,
             "max_repair_rounds": config.max_repair_rounds,
-            "vectorized_batch_size": config.effective_batch_size(),
+            "vectorized_batch_size": GatewayConfig.max_batch,
         }
         return SkillStore(backend,
                           retrieval_threshold=config.skill_retrieval_threshold,

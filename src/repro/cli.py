@@ -79,13 +79,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
                              "sessions are named s1..sN), print that session's "
                              "counters and last-60s window instead of the "
                              "service-wide view")
-    parser.add_argument("--semantic-cache", choices=["off", "linear", "ann"],
+    parser.add_argument("--semantic-cache", choices=["off", "ann"],
                         default=None,
                         help="semantic near-match tier for embeddings "
                              "predicates: 'ann' (default; multi-probe LSH "
-                             "index), 'linear' (exhaustive scan), or 'off' "
-                             "(bit-identical to uncached execution); forces "
-                             "service mode")
+                             "index) or 'off' (bit-identical to uncached "
+                             "execution); forces service mode")
     parser.add_argument("--skill-store", default=None, metavar="BACKEND[:PATH]",
                         help="enable the durable FAO skill store: 'memory', "
                              "'file:DIR', or 'sqlite:FILE'; generated functions "
@@ -106,10 +105,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--skill-stats", action="store_true",
                         help="print the skill store's hit/miss/revalidation "
                              "counters after the run (forces service mode)")
-    parser.add_argument("--no-vectorized", action="store_true",
-                        help="disable vectorized (batched) operator execution and "
-                             "view population; every model call is issued "
-                             "row-at-a-time at full serial token cost")
     parser.add_argument("--batch-window", type=float, default=None, metavar="SECONDS",
                         help="micro-batch collection window for the batchable model "
                              "kinds (forces service mode; default: auto — a few ms "
@@ -298,11 +293,8 @@ def run_batch(args: argparse.Namespace, query: str, output) -> int:
 
     corpus = build_movie_corpus(size=args.size, seed=args.seed)
     semantic_overrides = {}
-    if args.semantic_cache == "off":
-        semantic_overrides["enable_semantic_cache"] = False
-    elif args.semantic_cache is not None:
-        semantic_overrides["enable_semantic_cache"] = True
-        semantic_overrides["semantic_cache_mode"] = args.semantic_cache
+    if args.semantic_cache is not None:
+        semantic_overrides["enable_semantic_cache"] = args.semantic_cache != "off"
     skill_overrides: Dict[str, object] = {}
     if args.skill_store is not None:
         skill_overrides = parse_skill_store(args.skill_store)
@@ -313,7 +305,6 @@ def run_batch(args: argparse.Namespace, query: str, output) -> int:
                           monitor_enabled=not args.no_monitor,
                           enable_prepared_cache=not args.no_prepared,
                           enable_model_cache=not args.no_model_cache,
-                          enable_vectorized_execution=not args.no_vectorized,
                           service_max_workers=max(1, args.jobs),
                           simulate_model_latency=max(0.0, args.simulate_latency),
                           gateway_batch_window_s=args.batch_window,
@@ -413,9 +404,6 @@ def run_batch(args: argparse.Namespace, query: str, output) -> int:
         if args.semantic_cache:
             print(f"semantic near-match tier: {args.semantic_cache}",
                   file=output)
-        if args.no_vectorized:
-            print("vectorized execution: disabled (--no-vectorized)",
-                  file=output)
         if args.no_model_cache:
             print("model gateway: result cache disabled (--no-model-cache)",
                   file=output)
@@ -499,8 +487,7 @@ def run(args: argparse.Namespace, output=None) -> int:
 
     corpus = build_movie_corpus(size=args.size, seed=args.seed)
     config = KathDBConfig(seed=args.seed, lineage_level=args.lineage_level,
-                          monitor_enabled=not args.no_monitor,
-                          enable_vectorized_execution=not args.no_vectorized)
+                          monitor_enabled=not args.no_monitor)
     db = KathDB(config)
     print(f"loading corpus ({len(corpus)} movies) and populating multimodal views ...",
           file=output)

@@ -60,12 +60,6 @@ class KathDBConfig:
     # Minimum cosine similarity between signature texts for a stored skill to
     # be considered a near-match candidate for a new predicate.
     skill_retrieval_threshold: float = 0.9
-    # Vectorized execution: batchable FAO bodies and the view populators
-    # collect per-row model inputs into column vectors and issue one batched
-    # call per chunk of the gateway's ``max_batch`` rows (sub-linear token
-    # cost; results are bit-identical to the serial path).  Disabling
-    # restores row-at-a-time model access everywhere.
-    enable_vectorized_execution: bool = True
     # Parser interaction modes.
     proactive_clarification: bool = True
     reactive_correction: bool = True
@@ -114,9 +108,6 @@ class KathDBConfig:
     # SEMANTIC_SIMILARITY_THRESHOLD.  On by default since the ANN graduation;
     # disable for bit-identical-to-uncached runs.
     enable_semantic_cache: bool = True
-    # Lookup structure: "ann" (multi-probe LSH over signature vectors,
-    # lookup cost independent of entry count) or "linear" (exhaustive scan).
-    semantic_cache_mode: str = "ann"
     # ANN geometry: hyperplanes per bucket key (more planes = smaller,
     # better-separated buckets) and near-bucket probes per lookup (more
     # probes = higher recall at slightly higher lookup cost).
@@ -179,8 +170,6 @@ class KathDBConfig:
                 "requires gateway_cache_path")
         if self.gateway_batch_window_s is not None and self.gateway_batch_window_s < 0:
             raise KathDBError("gateway_batch_window_s must be non-negative")
-        if self.semantic_cache_mode not in ("linear", "ann"):
-            raise KathDBError("semantic_cache_mode must be 'linear' or 'ann'")
         if not 1 <= self.semantic_ann_planes <= 64:
             raise KathDBError("semantic_ann_planes must be in [1, 64]")
         if self.semantic_ann_probes < 0:
@@ -218,16 +207,6 @@ class KathDBConfig:
         if self.slow_query_ms is not None and self.slow_query_ms < 0:
             raise KathDBError("slow_query_ms must be non-negative when set")
 
-    def effective_batch_size(self) -> int:
-        """The vectorization chunk size execution should use (1 = serial).
-
-        The gateway's ``max_batch``: the batch client chunks at that bound,
-        and the optimizer's setup pricing must count the same number of
-        chunks execution will pay for.
-        """
-        from repro.gateway.gateway import GatewayConfig
-        return GatewayConfig.max_batch if self.enable_vectorized_execution else 1
-
     def gateway_config(self):
         """The :class:`~repro.gateway.gateway.GatewayConfig` these knobs imply."""
         from repro.gateway.gateway import GatewayConfig
@@ -242,7 +221,6 @@ class KathDBConfig:
             batch_window_s=window,
             enable_semantic=self.enable_semantic_cache,
             semantic_threshold=SEMANTIC_SIMILARITY_THRESHOLD,
-            semantic_mode=self.semantic_cache_mode,
             semantic_planes=self.semantic_ann_planes,
             semantic_probes=self.semantic_ann_probes,
             session_token_quota=self.session_token_quota)

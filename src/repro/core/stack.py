@@ -21,6 +21,7 @@ from repro.explain.explainer import Explainer
 from repro.explain.lineage_query import LineageQueryInterface
 from repro.fao.codegen import Coder
 from repro.fao.registry import FunctionRegistry
+from repro.gateway.gateway import GatewayConfig
 from repro.models.base import ModelSuite
 from repro.optimizer.optimizer import QueryOptimizer
 from repro.optimizer.profile_cache import ProfileCache
@@ -78,7 +79,9 @@ class QueryStack:
             max_repair_rounds=config.max_repair_rounds,
             min_accuracy=config.min_accuracy,
             profile_cache=profile_cache,
-            vectorized_batch_size=config.effective_batch_size(),
+            # Execution chunks at the gateway's ``max_batch``; setup pricing
+            # must count the same number of chunks.
+            vectorized_batch_size=GatewayConfig.max_batch,
             skill_store=skill_store,
             monitor=monitor)
         engine = ExecutionEngine(

@@ -117,9 +117,9 @@ def populate_scene_graph(poster_rows: Iterable[Dict[str, object]], models: Model
         Scene-graph extraction is issued as one batched VLM call per this
         many posters (sub-linear token cost through
         :meth:`~repro.models.base.ModelSuite.call_many`, gateway-aware when
-        the suite is routed).  ``1`` restores the serial row-at-a-time
-        path.  Emitted rows — and their lineage entries — are identical
-        either way.
+        the suite is routed).  ``1`` prices every poster as a serial call.
+        Emitted rows — and their lineage entries — are identical at every
+        size.
     """
     objects = Table("image_objects", Schema(list(OBJECTS_SCHEMA.columns)),
                     description="Scene-graph objects extracted from posters (Table 1).")
@@ -138,13 +138,9 @@ def populate_scene_graph(poster_rows: Iterable[Dict[str, object]], models: Model
         return None
 
     rows = [row for row in poster_rows if row.get(image_column) is not None]
-    batch_size = max(1, int(batch_size))
-    if batch_size > 1:
-        graphs = models.call_many("vlm", "extract_scene_graph",
-                                  [((row[image_column],), {}) for row in rows],
-                                  batch_size=batch_size)
-    else:
-        graphs = [models.vlm.extract_scene_graph(row[image_column]) for row in rows]
+    graphs = models.call_many("vlm", "extract_scene_graph",
+                              [((row[image_column],), {}) for row in rows],
+                              batch_size=max(1, int(batch_size)))
 
     for row, graph in zip(rows, graphs):
         vid = row.get(id_column)

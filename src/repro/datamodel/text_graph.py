@@ -117,8 +117,8 @@ def populate_text_graph(document_rows: Iterable[Dict[str, object]], models: Mode
     Extraction is issued as one batched call to the suite's NER model per
     ``batch_size`` documents (sub-linear token cost through
     :meth:`~repro.models.base.ModelSuite.call_many`, gateway-aware when the
-    suite is routed); ``1`` restores the serial path.  Emitted rows — and
-    their lineage entries — are identical either way.
+    suite is routed); ``1`` prices every document as a serial call.
+    Emitted rows — and their lineage entries — are identical at every size.
     """
     entities = Table("text_entities", Schema(list(ENTITIES_SCHEMA.columns)),
                      description="Entities resolved from plot documents (Table 2).")
@@ -140,13 +140,9 @@ def populate_text_graph(document_rows: Iterable[Dict[str, object]], models: Mode
 
     rows = list(document_rows)
     documents = [row.get(text_column) or "" for row in rows]
-    batch_size = max(1, int(batch_size))
-    if batch_size > 1:
-        extractions = models.call_many("ner", "extract",
-                                       [((text,), {}) for text in documents],
-                                       batch_size=batch_size)
-    else:
-        extractions = [models.ner.extract(text) for text in documents]
+    extractions = models.call_many("ner", "extract",
+                                   [((text,), {}) for text in documents],
+                                   batch_size=max(1, int(batch_size)))
 
     entity_id_offset = 0
     mention_id_offset = 0

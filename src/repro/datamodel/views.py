@@ -46,7 +46,7 @@ class ViewPopulator:
     ``batch_size`` vectorizes view population: scene-graph extraction and
     NER run as one batched model call per that many rows (sub-linear token
     cost; gateway-aware when the suite is routed, so every member still
-    populates the shared cache).  ``1`` keeps the serial row-at-a-time path.
+    populates the shared cache).  ``1`` prices every row as a serial call.
     """
 
     def __init__(self, models: ModelSuite, catalog: Catalog, lineage: LineageStore,

@@ -28,11 +28,11 @@ class FunctionContext:
     catalog (for SQL-style implementations), and the node parameters the coder
     baked in (keyword lists, weights, thresholds, join keys).
 
-    ``batch_size`` is the executor's vectorization hint: batchable bodies
-    collect their per-row model inputs into chunks of at most this many rows
-    and issue one batched call per chunk.  ``0``/``1`` (the default — also
-    what profiling and ad-hoc execution use) means row-at-a-time.  Results
-    are bit-identical either way; only the token bill changes.
+    ``batch_size`` is the executor's chunk hint: a model-calling body issues
+    one batched call per chunk of at most this many rows.  ``0`` (the
+    default, also what profiling and skill revalidation use) means chunks of
+    one call, each priced exactly as a serial call.  Results are identical
+    at every chunk size; only the token bill changes.
     """
 
     models: ModelSuite

@@ -66,33 +66,6 @@ def _extend_table_columns(source: Table, output_name: str,
     return result
 
 
-def _extend_table(source: Table, output_name: str,
-                  new_columns: List[Tuple[str, DataType]],
-                  compute: Callable[[Dict[str, Any]], Dict[str, Any]]) -> Table:
-    """Add computed columns, evaluating ``compute`` once per row in order.
-
-    Row-compatibility shim over :func:`_extend_table_columns`: the per-row
-    results are transposed into column vectors and written in one shot, so
-    the source's own columns are never copied.
-    """
-    computed = [compute(row) for row in source]
-    vectors: Dict[str, List[Any]] = {
-        column_name: [values.get(column_name) for values in computed]
-        for column_name, _ in new_columns
-    }
-    return _extend_table_columns(source, output_name, new_columns, vectors)
-
-
-def _filter_table(source: Table, output_name: str,
-                  keep: Callable[[Dict[str, Any]], bool]) -> Table:
-    """Keep rows of ``source`` that satisfy ``keep`` (position gather)."""
-    positions = [i for i, row in enumerate(source) if keep(row)]
-    return Table._adopt(output_name, Schema(list(source.schema.columns)),
-                        source._store.gather(positions),
-                        description=source.description,
-                        lossy_columns=source.lossy_columns)
-
-
 def _filter_table_column(source: Table, output_name: str, column: str,
                          keep_value: Callable[[Any], bool]) -> Table:
     """Whole-column filter: apply ``keep_value`` over one column's vector."""
@@ -126,19 +99,46 @@ def _rows_by_key(table: Table, key: str) -> Dict[Any, List[Dict[str, Any]]]:
 
 
 def _batch_size(context: FunctionContext) -> int:
-    """The executor's vectorization hint (0/1 = row-at-a-time)."""
-    return max(0, int(getattr(context, "batch_size", 0) or 0))
+    """Calls per batched model invocation: the executor's chunk hint.
+
+    A context without one (profiling, skill revalidation, ad-hoc execution)
+    gets chunks of one call, which the batch formula prices exactly as a
+    serial call.
+    """
+    return max(1, int(getattr(context, "batch_size", 0) or 0))
 
 
-def _extend_table_rows(source: Table, output_name: str,
-                       new_columns: List[Tuple[str, DataType]],
-                       computed: List[Dict[str, Any]]) -> Table:
-    """Vectorized twin of :func:`_extend_table`: the per-row columns were
-    precomputed (one batched model call per chunk), so feed them back in
-    source-row order through the same code path."""
-    values = iter(computed)
-    return _extend_table(source, output_name, new_columns,
-                         lambda row: next(values))
+def _scene_scores(source: Table, lexicon: Any) -> List[float]:
+    """The scene-statistics "boring" score of every row, in [0, 1].
+
+    Many objects, vivid object classes and saturated colour each lower the
+    score.  The scene variant publishes it; the cascade's cheap stage trusts
+    it as far as it sits from the 0.5 decision boundary.
+    """
+    scores: List[float] = []
+    for classes, n_objects, saturation in zip(_safe_vector(source, "object_classes"),
+                                              _safe_vector(source, "n_objects"),
+                                              _safe_vector(source, "saturation")):
+        vivid_hits = lexicon.matching_terms(" ".join(str(c) for c in (classes or [])),
+                                            "vivid_visual")
+        score = 1.0
+        score -= min(0.4, 0.1 * int(n_objects or 0))
+        score -= min(0.3, 0.15 * len(vivid_hits))
+        score -= min(0.3, float(saturation or 0.0))
+        scores.append(max(0.0, min(1.0, score)))
+    return scores
+
+
+def _visual_question(concept: str) -> str:
+    """The yes/no question the VLM-backed classifiers ask about a poster."""
+    return "Is this poster boring and plain?" if "boring" in concept else \
+        "Is this poster vivid and action-packed?"
+
+
+def _vlm_outcome(answer: Dict[str, Any], concept: str) -> Tuple[float, bool]:
+    """(score, flag) of one visual-question answer, oriented to ``concept``."""
+    score = answer["boring_score"] if "boring" in concept else 1.0 - answer["boring_score"]
+    return round(float(score), 6), bool(answer["answer"])
 
 
 # ---------------------------------------------------------------------------
@@ -148,9 +148,10 @@ def _extend_table_rows(source: Table, output_name: str,
 class ImplementationSpec:
     """One candidate implementation of a template family.
 
-    ``batchable`` marks variants whose body vectorizes: given a
-    ``FunctionContext.batch_size`` hint it collects per-row model inputs
-    into column vectors and issues one batched call per chunk.
+    ``batchable`` marks variants whose body calls models.  Such a body
+    gathers its model inputs as one column and hands it to
+    :meth:`~repro.models.base.ModelSuite.call_many` in chunks of
+    ``FunctionContext.batch_size`` calls (chunks of one without a hint).
     ``batch_setup_tokens`` is the per-call setup share of
     ``cost_per_row_tokens`` that a batch then pays once per chunk — the
     optimizer's batch-aware pricing uses it.
@@ -405,30 +406,16 @@ class ImplementationLibrary:
 
         def body(inputs: Dict[str, Table], context: FunctionContext) -> Table:
             source = _primary_input(node, inputs)
-            embeddings = context.models.embeddings
             node_keywords = list(context.parameters.get("keywords") or keywords)
-            chunk = _batch_size(context)
-
-            if chunk > 1:
-                # Vectorized: one column of per-row term lists, one batched
-                # match-density call per chunk.  Bit-identical to the serial
-                # path (deterministic embeddings), sub-linear token cost.
-                scores = context.models.call_many(
-                    "embeddings", "match_fraction",
-                    [((node_keywords, row.get("entity_terms") or []),
-                      {"purpose": node.name}) for row in source], batch_size=chunk)
-                computed = [{score_column: round(float(score), 6)}
-                            for score in scores]
-                return _extend_table_rows(source, node.output,
-                                          [(score_column, DataType.FLOAT)], computed)
-
-            def compute(row: Dict[str, Any]) -> Dict[str, Any]:
-                terms = row.get("entity_terms") or []
-                score = embeddings.match_fraction(node_keywords, terms,
-                                                  purpose=node.name)
-                return {score_column: round(float(score), 6)}
-
-            return _extend_table(source, node.output, [(score_column, DataType.FLOAT)], compute)
+            scores = context.models.call_many(
+                "embeddings", "match_fraction",
+                [((node_keywords, terms or []), {"purpose": node.name})
+                 for terms in _safe_vector(source, "entity_terms")],
+                batch_size=_batch_size(context))
+            return _extend_table_columns(source, node.output,
+                                         [(score_column, DataType.FLOAT)],
+                                         {score_column: [round(float(score), 6)
+                                                         for score in scores]})
 
         source_text = (
             f"def {node.name}(films):\n"
@@ -554,23 +541,16 @@ class ImplementationLibrary:
 
         def body(inputs: Dict[str, Table], context: FunctionContext) -> Table:
             source = _primary_input(node, inputs)
-            lexicon = context.models.lexicon
-
-            def compute(row: Dict[str, Any]) -> Dict[str, Any]:
-                if fragile and row.get("image_uri", "").endswith(".heic"):
-                    raise ValueError(f"unsupported image format: {row.get('image_uri')}")
-                classes = [str(c) for c in (row.get("object_classes") or [])]
-                vivid_hits = lexicon.matching_terms(" ".join(classes), "vivid_visual")
-                score = 1.0
-                score -= min(0.4, 0.1 * int(row.get("n_objects") or 0))
-                score -= min(0.3, 0.15 * len(vivid_hits))
-                score -= min(0.3, float(row.get("saturation") or 0.0))
-                score = max(0.0, min(1.0, score))
-                return {score_column: round(score, 6), flag_column: score >= 0.5}
-
-            return _extend_table(source, node.output,
-                                 [(score_column, DataType.FLOAT), (flag_column, DataType.BOOLEAN)],
-                                 compute)
+            if fragile:
+                for uri in _safe_vector(source, "image_uri"):
+                    if str(uri).endswith(".heic"):
+                        raise ValueError(f"unsupported image format: {uri}")
+            scores = _scene_scores(source, context.models.lexicon)
+            return _extend_table_columns(
+                source, node.output,
+                [(score_column, DataType.FLOAT), (flag_column, DataType.BOOLEAN)],
+                {score_column: [round(score, 6) for score in scores],
+                 flag_column: [score >= 0.5 for score in scores]})
 
         source_text = (
             f"def {node.name}(films_with_image_scene):\n"
@@ -588,50 +568,29 @@ class ImplementationLibrary:
         flag_column = node.parameters.get("flag_column", "boring_poster")
         score_column = flag_column.replace("_poster", "") + "_score"
         concept = node.parameters.get("concept", "boring_visual")
-        question = "Is this poster boring and plain?" if "boring" in concept else \
-            "Is this poster vivid and action-packed?"
-
-        def outcome(answer: Dict[str, Any]) -> Dict[str, Any]:
-            score = answer["boring_score"] if "boring" in concept else 1.0 - answer["boring_score"]
-            return {score_column: round(float(score), 6), flag_column: bool(answer["answer"])}
+        question = _visual_question(concept)
 
         def body(inputs: Dict[str, Table], context: FunctionContext) -> Table:
             source = _primary_input(node, inputs)
             posters = context.catalog.table("poster_images")
             image_by_movie = {row["movie_id"]: row.get("image") for row in posters}
-            vlm = context.models.vlm
-            chunk = _batch_size(context)
-
-            if chunk > 1:
-                # Vectorized: one batched visual-question call per chunk of
-                # rows that have a poster; rows without one keep the serial
-                # path's NULL outcome.
-                rows = list(source)
-                computed: List[Dict[str, Any]] = [
-                    {score_column: None, flag_column: None} for _ in rows]
-                with_image = [i for i, row in enumerate(rows)
-                              if image_by_movie.get(row.get("movie_id")) is not None]
-                answers = context.models.call_many(
-                    "vlm", "answer_visual_question",
-                    [((image_by_movie[rows[i].get("movie_id")], question),
-                      {"purpose": node.name}) for i in with_image], batch_size=chunk)
-                for i, answer in zip(with_image, answers):
-                    computed[i] = outcome(answer)
-                return _extend_table_rows(
-                    source, node.output,
-                    [(score_column, DataType.FLOAT), (flag_column, DataType.BOOLEAN)],
-                    computed)
-
-            def compute(row: Dict[str, Any]) -> Dict[str, Any]:
-                image = image_by_movie.get(row.get("movie_id"))
-                if image is None:
-                    return {score_column: None, flag_column: None}
-                answer = vlm.answer_visual_question(image, question, purpose=node.name)
-                return outcome(answer)
-
-            return _extend_table(source, node.output,
-                                 [(score_column, DataType.FLOAT), (flag_column, DataType.BOOLEAN)],
-                                 compute)
+            images = [image_by_movie.get(movie_id)
+                      for movie_id in _safe_vector(source, "movie_id")]
+            # One batched visual-question call per chunk of rows that have a
+            # poster; rows without one get a NULL outcome.
+            with_image = [i for i, image in enumerate(images) if image is not None]
+            answers = context.models.call_many(
+                "vlm", "answer_visual_question",
+                [((images[i], question), {"purpose": node.name}) for i in with_image],
+                batch_size=_batch_size(context))
+            scores: List[Any] = [None] * len(images)
+            flags: List[Any] = [None] * len(images)
+            for i, answer in zip(with_image, answers):
+                scores[i], flags[i] = _vlm_outcome(answer, concept)
+            return _extend_table_columns(
+                source, node.output,
+                [(score_column, DataType.FLOAT), (flag_column, DataType.BOOLEAN)],
+                {score_column: scores, flag_column: flags})
 
         source_text = (
             f"def {node.name}(films_with_image_scene):\n"
@@ -656,85 +615,38 @@ class ImplementationLibrary:
         score_column = flag_column.replace("_poster", "") + "_score"
         concept = node.parameters.get("concept", "boring_visual")
         threshold = float(node.parameters.get("cascade_confidence", 0.6))
-        question = "Is this poster boring and plain?" if "boring" in concept else \
-            "Is this poster vivid and action-packed?"
+        question = _visual_question(concept)
 
         def body(inputs: Dict[str, Table], context: FunctionContext) -> Table:
-            from repro.models.cascade import CascadeStage, ModelCascade
-
             source = _primary_input(node, inputs)
-            lexicon = context.models.lexicon
-            vlm = context.models.vlm
             posters = context.catalog.table("poster_images") \
                 if context.catalog.has_table("poster_images") else None
             image_by_movie = {row["movie_id"]: row.get("image") for row in posters} \
                 if posters is not None else {}
-
-            def cheap_stage(row: Dict[str, Any]) -> Tuple[Dict[str, Any], float]:
-                classes = [str(c) for c in (row.get("object_classes") or [])]
-                vivid_hits = lexicon.matching_terms(" ".join(classes), "vivid_visual")
-                score = 1.0
-                score -= min(0.4, 0.1 * int(row.get("n_objects") or 0))
-                score -= min(0.3, 0.15 * len(vivid_hits))
-                score -= min(0.3, float(row.get("saturation") or 0.0))
-                score = max(0.0, min(1.0, score))
-                confidence = min(1.0, abs(score - 0.5) * 2)
-                return {score_column: round(score, 6), flag_column: score >= 0.5}, confidence
-
-            def expensive_stage(row: Dict[str, Any]) -> Tuple[Dict[str, Any], float]:
-                image = image_by_movie.get(row.get("movie_id"))
-                if image is None:
-                    return cheap_stage(row)[0], 1.0
-                answer = vlm.answer_visual_question(image, question, purpose=node.name)
-                score = answer["boring_score"] if "boring" in concept else 1.0 - answer["boring_score"]
-                return ({score_column: round(float(score), 6), flag_column: bool(answer["answer"])},
-                        max(answer["confidence"], 0.99))
-
-            chunk = _batch_size(context)
-            if chunk > 1:
-                # Vectorized cascade: the cheap stage is model-free, so it
-                # runs over every row first; only the uncertain rows (cheap
-                # confidence below the threshold) escalate, and their VLM
-                # queries go out as one batched call per chunk.  Decisions
-                # are identical to ModelCascade.run row by row.
-                rows = list(source)
-                computed: List[Dict[str, Any]] = []
-                escalated: List[int] = []
-                for i, row in enumerate(rows):
-                    prediction, confidence = cheap_stage(row)
-                    computed.append(dict(prediction))
-                    if confidence < threshold:
-                        escalated.append(i)
-                pending = [i for i in escalated
-                           if image_by_movie.get(rows[i].get("movie_id")) is not None]
-                # Escalated rows without a poster keep the cheap answer —
-                # exactly expensive_stage's missing-image fallback.
-                answers = context.models.call_many(
-                    "vlm", "answer_visual_question",
-                    [((image_by_movie[rows[i].get("movie_id")], question),
-                      {"purpose": node.name}) for i in pending], batch_size=chunk)
-                for i, answer in zip(pending, answers):
-                    score = answer["boring_score"] if "boring" in concept \
-                        else 1.0 - answer["boring_score"]
-                    computed[i] = {score_column: round(float(score), 6),
-                                   flag_column: bool(answer["answer"])}
-                return _extend_table_rows(
-                    source, node.output,
-                    [(score_column, DataType.FLOAT), (flag_column, DataType.BOOLEAN)],
-                    computed)
-
-            cascade = ModelCascade([
-                CascadeStage("scene_statistics", cheap_stage, threshold=threshold),
-                CascadeStage("vlm_query", expensive_stage, threshold=0.0),
-            ])
-
-            def compute(row: Dict[str, Any]) -> Dict[str, Any]:
-                decision = cascade.run(row)
-                return dict(decision.prediction)
-
-            return _extend_table(source, node.output,
-                                 [(score_column, DataType.FLOAT), (flag_column, DataType.BOOLEAN)],
-                                 compute)
+            images = [image_by_movie.get(movie_id)
+                      for movie_id in _safe_vector(source, "movie_id")]
+            # The cheap stage is model-free, so it runs over every row first.
+            # A row escalates when its confidence (distance of the score from
+            # the 0.5 boundary) is below the threshold; escalated rows with a
+            # poster go to the VLM as one batched call per chunk, and those
+            # without one keep the cheap answer.  Decisions equal
+            # ModelCascade.run row by row.
+            cheap = _scene_scores(source, context.models.lexicon)
+            scores: List[Any] = [round(score, 6) for score in cheap]
+            flags: List[Any] = [score >= 0.5 for score in cheap]
+            escalated = [i for i, score in enumerate(cheap)
+                         if min(1.0, abs(score - 0.5) * 2) < threshold
+                         and images[i] is not None]
+            answers = context.models.call_many(
+                "vlm", "answer_visual_question",
+                [((images[i], question), {"purpose": node.name}) for i in escalated],
+                batch_size=_batch_size(context))
+            for i, answer in zip(escalated, answers):
+                scores[i], flags[i] = _vlm_outcome(answer, concept)
+            return _extend_table_columns(
+                source, node.output,
+                [(score_column, DataType.FLOAT), (flag_column, DataType.BOOLEAN)],
+                {score_column: scores, flag_column: flags})
 
         source_text = (
             f"def {node.name}(films_with_image_scene):\n"
@@ -873,13 +785,11 @@ class ImplementationLibrary:
 
         def body(inputs: Dict[str, Table], context: FunctionContext) -> Table:
             source = _primary_input(node, inputs)
-            embeddings = context.models.embeddings
             length = len(source)
             year_vector = _safe_vector(source, "year")
             years = [y for y in year_vector if y is not None]
             low, high = (min(years), max(years)) if years else (0, 1)
             span = max(1, high - low)
-            chunk = _batch_size(context)
 
             new_columns: List[Tuple[str, DataType]] = []
             for spec in sub_specs:
@@ -911,20 +821,12 @@ class ImplementationLibrary:
                 elif name.startswith("gen_"):
                     column = parameters.get("score_column", "semantic_score")
                     keywords = list(parameters.get("keywords") or [])
-                    term_lists = [terms or [] for terms in _column_of("entity_terms")]
-                    if chunk > 1:
-                        # Batched match-density calls over the whole column:
-                        # bit-identical scores, sub-linear token cost versus
-                        # one call per row.
-                        scores = context.models.call_many(
-                            "embeddings", "match_fraction",
-                            [((keywords, terms), {"purpose": node.name})
-                             for terms in term_lists], batch_size=chunk)
-                        values = [round(float(score), 6) for score in scores]
-                    else:
-                        values = [round(float(embeddings.match_fraction(
-                            keywords, terms, purpose=node.name)), 6)
-                            for terms in term_lists]
+                    scores = context.models.call_many(
+                        "embeddings", "match_fraction",
+                        [((keywords, terms or []), {"purpose": node.name})
+                         for terms in _column_of("entity_terms")],
+                        batch_size=_batch_size(context))
+                    values = [round(float(score), 6) for score in scores]
                 elif name.startswith("combine"):
                     column = parameters.get("output_column", "final_score")
                     weights = dict(parameters.get("weights") or {})

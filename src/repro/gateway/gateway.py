@@ -149,10 +149,12 @@ class SessionGatewayClient:
 
     def invoke_many(self, model: Any, method: str,
                     calls: Sequence[Tuple[Tuple[Any, ...], Dict[str, Any]]], *,
+                    batchable: bool = True,
                     semantic_terms_of: Optional[Callable[..., Any]] = None
                     ) -> List[Any]:
         """A vector of calls through the funnel (:class:`GatewayBatchClient`)."""
         return GatewayBatchClient(self).invoke(model, method, calls,
+                                               batchable=batchable,
                                                semantic_terms_of=semantic_terms_of)
 
     def spent(self) -> int:

@@ -2,10 +2,11 @@
 
 :class:`GatewayBatchClient` is the one place the gateway's tier stack is
 written.  A serial call is a one-call vector
-(:meth:`~repro.gateway.gateway.ModelGateway.invoke` is that adapter); the
-hot single-session loops — a per-row FAO body scoring every film, the view
-populator extracting a scene graph per poster — hand over whole column
-vectors.  For each call, cheapest tier first:
+(:meth:`~repro.gateway.gateway.ModelGateway.invoke` is that adapter); every
+model-calling FAO body and both view populators hand over whole column
+vectors through :meth:`~repro.models.base.ModelSuite.call_many`, in chunks
+of one call when the optimizer profiles a variant.  For each call, cheapest
+tier first:
 
 1. **exact cache** — the shared LRU answers identical requests
    (:mod:`repro.gateway.cache`), so a vector that partially overlaps earlier
@@ -22,10 +23,11 @@ vectors.  For each call, cheapest tier first:
    ``max_batch`` members each, through the one executor
    :meth:`repro.gateway.batching.MicroBatcher.execute` (one admission slot
    per chunk, in-batch dedup, sub-linear price ``max(setup) +
-   sum(marginal)``).  A one-call batchable miss goes through the
-   micro-batcher's window instead, where it can share an invocation with
-   other sessions; a non-batchable miss, or any miss with batching off, is
-   one metered call under an admission slot.
+   sum(marginal)``).  A vector of one call keeps the serial call's route,
+   which its method's ``batchable`` flag picks: a batchable call goes
+   through the micro-batcher's window, where it can share an invocation
+   with other sessions; any other is one metered call under an admission
+   slot.  With batching off every miss takes that last route.
 
 Every executed member is written back to the exact and semantic tiers and
 published to its coalesced followers.  Hits are free and tallied as
@@ -90,6 +92,9 @@ class GatewayBatchClient:
         that succeeds is billed; then the first member error is raised.
         (A serial loop would instead stop at the first failure.)
 
+        ``batchable`` only routes a one-call vector (see the module
+        docstring); two or more calls batch whenever batching is on.
+
         ``semantic_terms_of(args, kwargs)`` marks calls eligible for the
         semantic near-match tier: when the tier is enabled, every
         exact-cache miss is first offered to its signature lookup, and
@@ -102,7 +107,7 @@ class GatewayBatchClient:
         client = self._client
         gateway = client.gateway
         cfg = gateway.config
-        batched = cfg.enable_batching and batchable
+        batched = cfg.enable_batching and (batchable or len(calls) > 1)
         if len(calls) > 1 and not batched:
             # Unbatched, a vector is a serial loop: each call sees what the
             # calls before it wrote to the exact and semantic tiers.

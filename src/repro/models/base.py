@@ -125,8 +125,10 @@ class ModelSuite:
 
         Results equal serial calls', in order, and each member shares the
         equal serial call's request key.  The calls go out ``batch_size`` at
-        a time (default: all at once).  A routed suite answers each batch
-        through the gateway funnel; a direct one runs it as one batched
+        a time (default: all at once); a batch of one is priced exactly as
+        the serial call.  A routed suite answers each batch through the
+        gateway funnel, which sends a one-call batch down the serial call's
+        own route (``spec.batchable``); a direct suite runs it as one batched
         invocation on the model's own meter.  Either way every member of a
         batch executes and is billed before its first member error is raised.
         """
@@ -143,6 +145,7 @@ class ModelSuite:
             results.extend(
                 run_model_batch(model, method, batch) if client is None else
                 client.invoke_many(model, method, batch,
+                                   batchable=spec.batchable,
                                    semantic_terms_of=spec.semantic_terms))
         return results
 

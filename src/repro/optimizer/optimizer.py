@@ -110,9 +110,9 @@ class QueryOptimizer:
         # The monitor (when enabled) additionally watches revalidation runs.
         self.skill_store = skill_store
         self.monitor = monitor
-        # Vectorization hint carried onto chosen operators: batchable
-        # implementations are priced with the sub-linear batch formula and
-        # executed chunk-at-a-time.  <= 1 disables vectorized execution.
+        # Chunk hint carried onto chosen operators: batchable implementations
+        # are priced with the sub-linear batch formula and executed
+        # chunk-at-a-time.
         self.vectorized_batch_size = max(1, int(vectorized_batch_size))
 
     # -- public API ---------------------------------------------------------------------
@@ -267,7 +267,6 @@ class QueryOptimizer:
             sample_output = sample_output.head_table(self.sample_size, node.output)
         sample_tables[node.output] = sample_output
 
-        batchable = chosen.batchable and self.vectorized_batch_size > 1
         return PhysicalOperator(
             node=node,
             function=chosen,
@@ -276,8 +275,8 @@ class QueryOptimizer:
             estimated_cardinality=estimate.output_cardinality,
             profile=chosen_profile,
             alternatives_considered=len(candidates),
-            batchable=batchable,
-            batch_size=self.vectorized_batch_size if batchable else 0,
+            batchable=chosen.batchable,
+            batch_size=self.vectorized_batch_size if chosen.batchable else 0,
         )
 
     def _operator_from_hit(self, node: LogicalPlanNode, hit: "SkillHit",
@@ -307,7 +306,6 @@ class QueryOptimizer:
         sample_output.name = node.output
         sample_tables[node.output] = sample_output
 
-        batchable = function.batchable and self.vectorized_batch_size > 1
         return PhysicalOperator(
             node=node,
             function=function,
@@ -316,8 +314,8 @@ class QueryOptimizer:
             estimated_cardinality=estimate.output_cardinality,
             profile=hit.profile,
             alternatives_considered=1,
-            batchable=batchable,
-            batch_size=self.vectorized_batch_size if batchable else 0,
+            batchable=function.batchable,
+            batch_size=self.vectorized_batch_size if function.batchable else 0,
         )
 
     # -- parallel compilation -----------------------------------------------------------------

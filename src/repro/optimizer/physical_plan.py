@@ -15,11 +15,10 @@ from repro.parser.logical_plan import LogicalPlan, LogicalPlanNode
 class PhysicalOperator:
     """One executable step: a logical node bound to a chosen implementation.
 
-    ``batchable``/``batch_size`` carry the optimizer's vectorization hint:
-    when set, the engine asks the body to collect per-row model inputs into
-    chunks of ``batch_size`` rows and issue one batched call per chunk
-    (sub-linear token cost, identical rows).  ``batch_size`` 0 means
-    row-at-a-time.
+    ``batchable``/``batch_size`` carry the optimizer's chunk hint: the
+    engine hands ``batch_size`` to a model-calling body, which issues one
+    batched call per chunk of that many rows (sub-linear token cost,
+    identical rows).  ``batch_size`` 0 means chunks of one call.
     """
 
     node: LogicalPlanNode

@@ -211,3 +211,26 @@ class TestCLI:
         output = capsys.readouterr().out
         assert "How KathDB answered" in output
         assert "weighted sum" in output
+
+    def test_run_service_front_end(self, capsys):
+        parser = build_arg_parser()
+        args = parser.parse_args(["--flagship", "--size", "12", "--repeat", "2",
+                                  "--jobs", "2", "--gateway-stats", "--sched-stats",
+                                  "--skill-store", "memory", "--metrics", "--trace"])
+        assert run(args) == 0
+        output = capsys.readouterr().out
+        for section in ("batch: 2 request(s), 2 worker(s)", "prepared-query cache:",
+                        "scheduler: 2 worker(s)", "skill store:", "model gateway:",
+                        "\ntrace t", "\nmetrics:", "counter gateway.misses:"):
+            assert section in output, section
+
+    def test_run_sharded_front_end(self, capsys):
+        parser = build_arg_parser()
+        args = parser.parse_args(["--flagship", "--size", "12", "--shards", "2",
+                                  "--gateway-stats", "--sched-stats"])
+        assert run(args) == 0
+        output = capsys.readouterr().out
+        for section in ("across 2 shards", "batch: 1 request(s), 2 shard(s)",
+                        "ShardedService: 2 shards", "gateway (all shards):",
+                        "scheduler: 2 worker(s)"):
+            assert section in output, section

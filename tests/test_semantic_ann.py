@@ -655,7 +655,6 @@ class TestKnobs:
     def test_service_default_is_ann_on(self):
         config = KathDBConfig()
         assert config.enable_semantic_cache
-        assert config.semantic_cache_mode == "ann"
         gateway_config = config.gateway_config()
         assert gateway_config.enable_semantic
         assert gateway_config.semantic_mode == "ann"
@@ -671,8 +670,6 @@ class TestKnobs:
         service.shutdown()
 
     def test_config_validation(self):
-        with pytest.raises(KathDBError, match="semantic_cache_mode"):
-            CoreConfig(semantic_cache_mode="hnsw")
         with pytest.raises(KathDBError, match="semantic_ann_planes"):
             CoreConfig(semantic_ann_planes=0)
         with pytest.raises(KathDBError, match="semantic_ann_probes"):
@@ -686,8 +683,6 @@ class TestKnobs:
         assert parser.parse_args([]).semantic_cache is None
         assert parser.parse_args(["--semantic-cache", "off"]).semantic_cache \
             == "off"
-        assert parser.parse_args(["--semantic-cache", "linear"]).semantic_cache \
-            == "linear"
         with pytest.raises(SystemExit):
             parser.parse_args(["--semantic-cache", "bogus"])
 

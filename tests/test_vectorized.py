@@ -23,6 +23,7 @@ from repro.errors import SessionQuotaExceededError
 from repro.fao.codegen import Coder
 from repro.fao.function import FunctionContext
 from repro.gateway.gateway import GatewayConfig, ModelGateway
+from repro.models.cascade import CascadeStage, ModelCascade
 from repro.models.base import ModelSuite
 from repro.parser.logical_plan import LogicalPlanNode
 from repro.relational.catalog import Catalog
@@ -143,6 +144,56 @@ class TestBodyEquivalence:
         vlm_calls = [c for c in models.cost_meter.calls[meter_marker:]
                      if c.model.startswith("vlm")]
         assert 0 < sum(getattr(c, "batch_size", 1) for c in vlm_calls) < len(serial)
+
+    @pytest.mark.parametrize("chunk", [1, 3])
+    def test_cascade_equals_model_cascade_run(self, vec_tables, vec_catalog, chunk):
+        """The cascade body decides every row as ModelCascade.run would.
+
+        The reference stages are built apart from the body: the scene
+        variant's score, trusted by its distance from 0.5, then a raw VLM
+        visual question (posterless rows keep the cheap answer).
+        """
+        node = make_node("classify_boring", ["films_with_image_scene"],
+                         "flagged", flag_column="boring_poster",
+                         concept="boring_visual")
+        films = films_for_classify(vec_tables)
+        scene_rows = run_variant("scene_statistics", 0, ModelSuite.create(seed=7),
+                                 vec_catalog, films, node)
+        reference_vlm = ModelSuite.create(seed=7).vlm
+        image_by_movie = {row["movie_id"]: row["image"]
+                          for row in vec_tables["poster_images"]}
+
+        def cheap(row):
+            score = row["boring_score"]
+            return ({"boring_score": score, "boring_poster": row["boring_poster"]},
+                    min(1.0, abs(score - 0.5) * 2))
+
+        def expensive(row):
+            image = image_by_movie.get(row["movie_id"])
+            if image is None:
+                return cheap(row)[0], 1.0
+            answer = reference_vlm.answer_visual_question(
+                image, "Is this poster boring and plain?")
+            return ({"boring_score": round(float(answer["boring_score"]), 6),
+                     "boring_poster": bool(answer["answer"])}, 1.0)
+
+        cascade = ModelCascade([CascadeStage("scene_statistics", cheap, threshold=0.6),
+                                CascadeStage("vlm_query", expensive, threshold=0.0)])
+        decisions = cascade.run_many(scene_rows)
+        escalated = [row["movie_id"] for row, decision in zip(scene_rows, decisions)
+                     if decision.stages_used > 1]
+        with_poster = [movie_id for movie_id in escalated if movie_id in image_by_movie]
+        # The fixture escalates a posterless row and leaves some rows cheap.
+        assert 999999 in escalated
+        assert 0 < len(with_poster) < len(escalated) < len(films)
+
+        models = ModelSuite.create(seed=7)
+        rows = run_variant("cascade", chunk, models, vec_catalog, films, node)
+        assert [{k: row[k] for k in ("boring_score", "boring_poster")} for row in rows] \
+            == [decision.prediction for decision in decisions]
+        # Only escalated rows with a poster reach the VLM.
+        vlm_calls = [c for c in models.cost_meter.calls if c.model.startswith("vlm")]
+        assert sum(c.members for c in vlm_calls) == len(with_poster)
 
     def test_bodies_batch_through_a_routed_suite(self, vec_catalog):
         """The gateway path returns the same rows and fills the shared cache."""
@@ -570,14 +621,18 @@ class TestRowsMutationGuard:
 
 
 class TestEndToEndEquivalence:
-    """A full service query is row-identical vectorized vs serial."""
+    """A full service query is row-identical batched vs serial.
+
+    The serial reference turns the gateway's micro-batching off, so every
+    model call executes alone at its serial price.
+    """
 
     def test_flagship_rows_match(self, vec_corpus):
         def run(vectorized):
             service = KathDBService(KathDBConfig(
                 seed=7, monitor_enabled=False, explore_variants=False,
                 enable_model_cache=False, enable_request_coalescing=False,
-                enable_vectorized_execution=vectorized))
+                enable_micro_batching=vectorized))
             service.load_corpus(vec_corpus)
             response = service.session().query(QueryRequest(
                 nl_query="Rank every film by how exciting its plot is.",
