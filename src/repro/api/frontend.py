@@ -38,8 +38,6 @@ class RequestFrontend:
         self.scheduler = FairShareScheduler(
             workers=workers,
             queue_limit=config.sched_queue_limit,
-            reservations=config.sched_class_reservations or None,
-            tenant_weights=config.sched_tenant_weights or None,
             metrics=metrics)
         metrics.register_view("sched", self.scheduler.stats)
 
@@ -138,8 +136,7 @@ class RequestFrontend:
         become structured ``ok=False`` responses with ``shed_reason`` set.
         """
         session_name = f"s{next(self._session_ids)}"
-        tenant, sched_class, deadline_ms = request.sched_params(
-            self.config.sched_default_priority)
+        tenant, sched_class, deadline_ms = request.sched_params()
         tenant = tenant or session_name
         token = CancelToken.with_deadline_ms(deadline_ms)
 

@@ -37,6 +37,7 @@ from repro.obs.sinks import (JsonlTraceSink, SlowQueryLog, TraceRingBuffer,
                              write_chrome_trace)
 from repro.obs.span import Trace
 from repro.obs.trace import Tracer
+from repro.optimizer.optimizer import MIN_ACCURACY
 from repro.optimizer.profile_cache import ProfileCache
 from repro.relational.catalog import Catalog
 from repro.skills.backends import backend_from_spec
@@ -67,7 +68,6 @@ class KathDBService(RequestFrontend):
         meter = CostMeter(latency_scale=self.config.simulate_model_latency)
         self.models = ModelSuite.create(seed=self.config.seed,
                                         vlm_error_rate=self.config.vlm_error_rate,
-                                        ocr_error_rate=self.config.ocr_error_rate,
                                         cost_meter=meter)
         self.catalog = Catalog()
         self.lineage = LineageStore(level=self.config.lineage_level)
@@ -145,7 +145,7 @@ class KathDBService(RequestFrontend):
             "seed": config.seed,
             "model_suite": type(self.models.llm).__name__,
             "explore_variants": config.explore_variants,
-            "min_accuracy": config.min_accuracy,
+            "min_accuracy": MIN_ACCURACY,
             "max_repair_rounds": config.max_repair_rounds,
             "vectorized_batch_size": GatewayConfig.max_batch,
         }

@@ -32,18 +32,13 @@ class KathDBConfig:
     seed: int = 0
     # Simulated-model noise.
     vlm_error_rate: float = 0.05
-    ocr_error_rate: float = 0.02
     # Lineage tracking level: "row", "table", or "off".
     lineage_level: str = LINEAGE_LEVEL_ROW
     # Optimizer behaviour.
-    enable_pushdown: bool = True
     enable_fusion: bool = False
     explore_variants: bool = True
     max_variants: int = 3
-    parallel_codegen: bool = False
     variant_overrides: Dict[str, str] = field(default_factory=dict)
-    optimizer_sample_size: int = 4
-    min_accuracy: float = 0.88
     # Offline profiling: reuse per-(family, variant) profiling statistics across
     # queries instead of re-profiling every candidate on sample rows.
     enable_profile_cache: bool = False
@@ -66,7 +61,6 @@ class KathDBConfig:
     max_correction_rounds: int = 4
     # Execution behaviour.
     monitor_enabled: bool = True
-    monitor_sample_size: int = 5
     max_repair_rounds: int = 3
     # Fault injection for repair demonstrations (node name -> fault kind).
     fault_injection: Dict[str, str] = field(default_factory=dict)
@@ -133,15 +127,6 @@ class KathDBConfig:
     # bounded queue depth; submissions beyond it shed with reason
     # "backpressure" instead of blocking.
     sched_queue_limit: int = 64
-    # Worker-slot reservations per priority class ({"interactive": 2, ...}).
-    # Empty = auto split: interactive half, batch a quarter, background the
-    # rest.  Reservations are minimum guarantees; idle slots are borrowable.
-    sched_class_reservations: Dict[str, int] = field(default_factory=dict)
-    # Deficit-round-robin weights per tenant id (default 1.0 each): a tenant
-    # with weight 2 drains twice as fast as a weight-1 tenant under load.
-    sched_tenant_weights: Dict[str, float] = field(default_factory=dict)
-    # Priority class used when a request names none.
-    sched_default_priority: str = "interactive"
 
     def __post_init__(self):
         if self.lineage_level not in (LINEAGE_LEVEL_ROW, LINEAGE_LEVEL_TABLE, LINEAGE_LEVEL_OFF):
@@ -189,21 +174,6 @@ class KathDBConfig:
             raise KathDBError("session_token_quota must be positive when set")
         if self.sched_queue_limit < 1:
             raise KathDBError("sched_queue_limit must be at least 1")
-        from repro.sched.scheduler import PRIORITY_CLASSES
-        if self.sched_default_priority not in PRIORITY_CLASSES:
-            raise KathDBError(
-                f"sched_default_priority must be one of {PRIORITY_CLASSES}")
-        for sched_class, slots in self.sched_class_reservations.items():
-            if sched_class not in PRIORITY_CLASSES:
-                raise KathDBError(
-                    f"unknown priority class in sched_class_reservations: "
-                    f"{sched_class!r}")
-            if int(slots) < 0:
-                raise KathDBError("sched_class_reservations values must be >= 0")
-        for tenant, weight in self.sched_tenant_weights.items():
-            if float(weight) <= 0:
-                raise KathDBError(
-                    f"sched_tenant_weights[{tenant!r}] must be positive")
         if self.slow_query_ms is not None and self.slow_query_ms < 0:
             raise KathDBError("slow_query_ms must be non-negative when set")
 

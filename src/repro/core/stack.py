@@ -65,19 +65,14 @@ class QueryStack:
         plan_verifier = PlanVerifier(models, catalog)
         # One monitor serves both halves of the pipeline: execution (anomaly
         # escalation) and the optimizer's skill revalidation runs.
-        monitor = ExecutionMonitor(models, sample_size=config.monitor_sample_size,
-                                   enabled=config.monitor_enabled)
+        monitor = ExecutionMonitor(models, enabled=config.monitor_enabled)
         optimizer = QueryOptimizer(
             models, catalog, registry, coder=coder,
-            enable_pushdown=config.enable_pushdown,
             enable_fusion=config.enable_fusion,
             explore_variants=config.explore_variants,
             max_variants=config.max_variants,
-            parallel=config.parallel_codegen,
             variant_overrides=dict(config.variant_overrides),
-            sample_size=config.optimizer_sample_size,
             max_repair_rounds=config.max_repair_rounds,
-            min_accuracy=config.min_accuracy,
             profile_cache=profile_cache,
             # Execution chunks at the gateway's ``max_batch``; setup pricing
             # must count the same number of chunks.

@@ -9,9 +9,9 @@ is the single backing store behind every stats surface:
 * the skill store's counters are registry :class:`Counter` objects;
 * ``gateway_stats()`` / ``skill_stats()`` stay API-compatible as *views*
   registered with :meth:`MetricsRegistry.register_view`;
-* every finished span feeds :meth:`MetricsRegistry.observe_span`, which
-  maintains per-kind latency histograms (p50/p95/p99) and outcome
-  counters for model calls.
+* every finished trace feeds :meth:`MetricsRegistry.observe_trace`, whose
+  spans are aggregated into per-kind latency histograms (p50/p95/p99) and
+  outcome counters for model calls.
 
 All structures are thread-safe; timestamps use ``time.perf_counter``.
 """
@@ -312,27 +312,6 @@ class MetricsRegistry:
             hist = self.histogram(f"latency_ms.{kind}")
             self._span_hists[kind] = hist
         return hist
-
-    def observe_span(self, span: Any) -> None:
-        """Feed one finished span: latency histogram + outcome counters."""
-        kind = span.kind
-        self._span_hist(kind).observe(span.duration_ms)
-        if span.status == "error":
-            self.counter(f"span_errors.{kind}").inc()
-        if kind == "model":
-            outcome = span.tags.get("outcome", "unknown")
-            counter = self._outcome_counters.get(outcome)
-            if counter is None:
-                counter = self.counter(f"model_calls.{outcome}")
-                self._outcome_counters[outcome] = counter
-            counter.inc()
-        elif kind == "query":
-            tokens = span.tags.get("tokens")
-            if not isinstance(tokens, int):
-                tokens = 0
-            self._query_tokens.inc(tokens)
-            self.events.append("query", 1, tokens,
-                               session_id=span.tags.get("session"))
 
     def observe_trace(self, trace: Any) -> None:
         """Queue a finished trace for aggregation.

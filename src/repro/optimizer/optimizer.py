@@ -39,6 +39,10 @@ from repro.utils.timer import Timer
 if TYPE_CHECKING:  # pragma: no cover - skills imports the optimizer package
     from repro.skills.store import SkillHit, SkillStore
 
+#: Accuracy prior below which a candidate implementation is rejected.  The
+#: skill store's provenance records it, so persisted records key on it.
+MIN_ACCURACY = 0.88
+
 
 @dataclass
 class OptimizationReport:
@@ -84,7 +88,7 @@ class QueryOptimizer:
                  max_variants: int = 3, parallel: bool = False,
                  variant_overrides: Optional[Dict[str, str]] = None,
                  sample_size: int = 4, max_repair_rounds: int = 3,
-                 min_accuracy: float = 0.88,
+                 min_accuracy: float = MIN_ACCURACY,
                  profile_cache: Optional[ProfileCache] = None,
                  vectorized_batch_size: int = 32,
                  skill_store: Optional["SkillStore"] = None,

@@ -1,8 +1,12 @@
-"""Scalar expression AST evaluated over row dictionaries.
+"""Scalar expression AST evaluated column-at-a-time over tables.
 
 The mini-SQL front end and the relational operators both use this AST.  It is
 deliberately small: column references, literals, comparison/boolean/arithmetic
-operators, NULL tests, LIKE / IN, and a handful of scalar functions.
+operators, NULL tests, LIKE / IN, and a handful of scalar functions.  Each node
+has one evaluator, :meth:`Expression.evaluate_column`; ``evaluate(row)`` runs
+it over a one-row table.  ``AND``/``OR`` keep short-circuit semantics with a
+selection vector: the right operand is evaluated only over the rows the left
+one leaves undecided.
 """
 
 from __future__ import annotations
@@ -10,42 +14,34 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, TYPE_CHECKING
+from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from repro.errors import ExpressionError
+from repro.relational.columns import ColumnStore
+from repro.relational.schema import Schema
+from repro.relational.table import Table
 from repro.relational.types import compare_values
-
-if TYPE_CHECKING:  # pragma: no cover - type-only import
-    from repro.relational.table import Table
 
 
 class Expression:
     """Base class for all scalar expressions."""
 
-    def evaluate(self, row: Dict[str, Any]) -> Any:
-        """Evaluate against one row dict."""
-        raise NotImplementedError
+    def evaluate(self, row: Mapping[str, Any]) -> Any:
+        """Evaluate against one row mapping, as a one-row table.
 
-    def evaluate_column(self, table: "Table") -> List[Any]:
+        The values are wrapped as they are: no schema is inferred and
+        nothing is validated.
+        """
+        store = ColumnStore()
+        store.replace_all({name: [value] for name, value in row.items()}, 1)
+        return self.evaluate_column(Table._adopt("row", Schema(), store))[0]
+
+    def evaluate_column(self, table: Table) -> List[Any]:
         """Evaluate against every row of a columnar table, returning a vector.
 
-        Subclasses override this to work column-at-a-time over the table's
-        shared vectors; the base implementation falls back to row-at-a-time
-        evaluation (row proxies), which is always semantically safe.  The
-        returned list may be a live column vector — treat it as read-only.
+        The returned list may be a live column vector — treat it as read-only.
         """
-        return [self.evaluate(row) for row in table.rows]
-
-    def is_pure(self) -> bool:
-        """True when evaluation is side-effect free and order-independent.
-
-        Only pure expressions are safe to vectorize through short-circuiting
-        operators (``AND``/``OR``): the row-at-a-time evaluator skips the
-        right operand when the left decides, while the columnar evaluator
-        computes both sides for every row.  Unknown expression types are
-        conservatively impure.
-        """
-        return False
+        raise NotImplementedError
 
     def referenced_columns(self) -> List[str]:
         """All column names referenced anywhere inside this expression."""
@@ -65,14 +61,8 @@ class Literal(Expression):
 
     value: Any
 
-    def evaluate(self, row: Dict[str, Any]) -> Any:
-        return self.value
-
-    def evaluate_column(self, table: "Table") -> List[Any]:
+    def evaluate_column(self, table: Table) -> List[Any]:
         return [self.value] * len(table)
-
-    def is_pure(self) -> bool:
-        return True
 
     def describe(self) -> str:
         if isinstance(self.value, str):
@@ -86,25 +76,13 @@ class ColumnRef(Expression):
 
     name: str
 
-    def evaluate(self, row: Dict[str, Any]) -> Any:
-        if self.name in row:
-            return row[self.name]
-        lowered = self.name.lower()
-        for key, value in row.items():
-            if key.lower() == lowered:
-                return value
-        raise ExpressionError(f"row has no column {self.name!r} (keys: {sorted(row)})")
-
-    def evaluate_column(self, table: "Table") -> List[Any]:
+    def evaluate_column(self, table: Table) -> List[Any]:
         store = table._store
         resolved = store.resolve(self.name)
         if resolved is None:
             raise ExpressionError(
                 f"row has no column {self.name!r} (keys: {sorted(store.column_names())})")
         return store.column(resolved)
-
-    def is_pure(self) -> bool:
-        return True
 
     def referenced_columns(self) -> List[str]:
         return [self.name]
@@ -141,45 +119,22 @@ class BinaryOp(Expression):
     left: Expression
     right: Expression
 
-    def evaluate(self, row: Dict[str, Any]) -> Any:
+    def evaluate_column(self, table: Table) -> List[Any]:
         op = self.op.upper() if self.op.isalpha() else self.op
         if op in ("AND", "OR"):
-            left = bool(self.left.evaluate(row))
-            if op == "AND":
-                return left and bool(self.right.evaluate(row))
-            return left or bool(self.right.evaluate(row))
-        left = self.left.evaluate(row)
-        right = self.right.evaluate(row)
-        if self.op in _COMPARISONS:
-            if left is None or right is None:
-                return False
-            comparison = compare_values(left, right)
-            if comparison is None:
-                comparison = compare_values(str(left), str(right))
-            return _COMPARISONS[self.op](comparison)
-        if self.op in _ARITHMETIC:
-            if left is None or right is None:
-                return None
-            try:
-                return _ARITHMETIC[self.op](left, right)
-            except TypeError as error:
-                raise ExpressionError(
-                    f"cannot apply {self.op!r} to {type(left).__name__} and {type(right).__name__}"
-                ) from error
-        raise ExpressionError(f"unknown binary operator: {self.op!r}")
-
-    def evaluate_column(self, table: "Table") -> List[Any]:
-        op = self.op.upper() if self.op.isalpha() else self.op
-        if op in ("AND", "OR"):
-            # Vectorizing evaluates both sides for every row; only safe when
-            # neither side can have effects the row path would short-circuit.
-            if not self.is_pure():
-                return super().evaluate_column(table)
-            left = self.left.evaluate_column(table)
-            right = self.right.evaluate_column(table)
-            if op == "AND":
-                return [bool(a) and bool(b) for a, b in zip(left, right)]
-            return [bool(a) or bool(b) for a, b in zip(left, right)]
+            # Short-circuit with a selection vector: the right operand sees
+            # only the rows the left one leaves undecided (True for AND,
+            # False for OR), so it never runs, raises or acts on the others.
+            out = [bool(v) for v in self.left.evaluate_column(table)]
+            pending = op == "AND"
+            undecided = [i for i, v in enumerate(out) if v == pending]
+            if undecided:
+                if len(undecided) < len(out):
+                    table = Table._adopt(table.name, table.schema,
+                                         table._store.gather(undecided))
+                for i, v in zip(undecided, self.right.evaluate_column(table)):
+                    out[i] = bool(v)
+            return out
         left = self.left.evaluate_column(table)
         right = self.right.evaluate_column(table)
         if self.op in _COMPARISONS:
@@ -210,9 +165,6 @@ class BinaryOp(Expression):
             return out
         raise ExpressionError(f"unknown binary operator: {self.op!r}")
 
-    def is_pure(self) -> bool:
-        return self.left.is_pure() and self.right.is_pure()
-
     def referenced_columns(self) -> List[str]:
         return self.left.referenced_columns() + self.right.referenced_columns()
 
@@ -227,16 +179,7 @@ class UnaryOp(Expression):
     op: str
     operand: Expression
 
-    def evaluate(self, row: Dict[str, Any]) -> Any:
-        value = self.operand.evaluate(row)
-        op = self.op.upper()
-        if op == "NOT":
-            return not bool(value)
-        if self.op == "-":
-            return -value if value is not None else None
-        raise ExpressionError(f"unknown unary operator: {self.op!r}")
-
-    def evaluate_column(self, table: "Table") -> List[Any]:
+    def evaluate_column(self, table: Table) -> List[Any]:
         values = self.operand.evaluate_column(table)
         op = self.op.upper()
         if op == "NOT":
@@ -244,9 +187,6 @@ class UnaryOp(Expression):
         if self.op == "-":
             return [-v if v is not None else None for v in values]
         raise ExpressionError(f"unknown unary operator: {self.op!r}")
-
-    def is_pure(self) -> bool:
-        return self.operand.is_pure()
 
     def referenced_columns(self) -> List[str]:
         return self.operand.referenced_columns()
@@ -262,18 +202,11 @@ class IsNull(Expression):
     operand: Expression
     negated: bool = False
 
-    def evaluate(self, row: Dict[str, Any]) -> bool:
-        value = self.operand.evaluate(row)
-        return (value is not None) if self.negated else (value is None)
-
-    def evaluate_column(self, table: "Table") -> List[Any]:
+    def evaluate_column(self, table: Table) -> List[Any]:
         values = self.operand.evaluate_column(table)
         if self.negated:
             return [v is not None for v in values]
         return [v is None for v in values]
-
-    def is_pure(self) -> bool:
-        return self.operand.is_pure()
 
     def referenced_columns(self) -> List[str]:
         return self.operand.referenced_columns()
@@ -301,14 +234,7 @@ class Like(Expression):
                 parts.append(re.escape(char))
         return re.compile("^" + "".join(parts) + "$", re.IGNORECASE)
 
-    def evaluate(self, row: Dict[str, Any]) -> bool:
-        value = self.operand.evaluate(row)
-        if value is None:
-            return False
-        matched = bool(self._regex().match(str(value)))
-        return (not matched) if self.negated else matched
-
-    def evaluate_column(self, table: "Table") -> List[Any]:
+    def evaluate_column(self, table: Table) -> List[Any]:
         # The row path compiles the pattern per row; here it compiles once.
         regex = self._regex()
         values = self.operand.evaluate_column(table)
@@ -320,9 +246,6 @@ class Like(Expression):
             matched = bool(regex.match(str(value)))
             out.append((not matched) if self.negated else matched)
         return out
-
-    def is_pure(self) -> bool:
-        return self.operand.is_pure()
 
     def referenced_columns(self) -> List[str]:
         return self.operand.referenced_columns()
@@ -339,13 +262,7 @@ class InList(Expression):
     options: List[Expression]
     negated: bool = False
 
-    def evaluate(self, row: Dict[str, Any]) -> bool:
-        value = self.operand.evaluate(row)
-        members = [opt.evaluate(row) for opt in self.options]
-        found = any(compare_values(value, m) == 0 for m in members)
-        return (not found) if self.negated else found
-
-    def evaluate_column(self, table: "Table") -> List[Any]:
+    def evaluate_column(self, table: Table) -> List[Any]:
         values = self.operand.evaluate_column(table)
         member_vectors = [opt.evaluate_column(table) for opt in self.options]
         out: List[Any] = []
@@ -353,9 +270,6 @@ class InList(Expression):
             found = any(compare_values(value, vec[i]) == 0 for vec in member_vectors)
             out.append((not found) if self.negated else found)
         return out
-
-    def is_pure(self) -> bool:
-        return self.operand.is_pure() and all(opt.is_pure() for opt in self.options)
 
     def referenced_columns(self) -> List[str]:
         cols = self.operand.referenced_columns()
@@ -399,17 +313,7 @@ class FunctionCall(Expression):
     name: str
     args: List[Expression] = field(default_factory=list)
 
-    def evaluate(self, row: Dict[str, Any]) -> Any:
-        fn = _SCALAR_FUNCTIONS.get(self.name.lower())
-        if fn is None:
-            raise ExpressionError(f"unknown scalar function: {self.name!r}")
-        values = [arg.evaluate(row) for arg in self.args]
-        try:
-            return fn(*values)
-        except (TypeError, ValueError) as error:
-            raise ExpressionError(f"error evaluating {self.name}(...): {error}") from error
-
-    def evaluate_column(self, table: "Table") -> List[Any]:
+    def evaluate_column(self, table: Table) -> List[Any]:
         fn = _SCALAR_FUNCTIONS.get(self.name.lower())
         if fn is None:
             raise ExpressionError(f"unknown scalar function: {self.name!r}")
@@ -422,10 +326,6 @@ class FunctionCall(Expression):
                 raise ExpressionError(
                     f"error evaluating {self.name}(...): {error}") from error
         return out
-
-    def is_pure(self) -> bool:
-        # The built-in scalar functions are all pure; purity rides on args.
-        return all(arg.is_pure() for arg in self.args)
 
     def referenced_columns(self) -> List[str]:
         cols: List[str] = []
@@ -441,17 +341,18 @@ class FunctionCall(Expression):
 class Lambda(Expression):
     """Wrap an arbitrary Python callable as an expression.
 
-    Generated FAO functions often need computations (vector similarity,
-    model calls) that the SQL expression language does not cover; they use
-    ``Lambda`` so that the result still flows through the same operator tree.
+    For computations the SQL expression language does not cover;
+    ``Table.where`` filters through one.  ``fn`` is applied to each row
+    proxy in order, and only to the rows an enclosing ``AND``/``OR`` has
+    not already decided.
     """
 
-    fn: Callable[[Dict[str, Any]], Any]
+    fn: Callable[[Mapping[str, Any]], Any]
     label: str = "python_lambda"
     columns: List[str] = field(default_factory=list)
 
-    def evaluate(self, row: Dict[str, Any]) -> Any:
-        return self.fn(row)
+    def evaluate_column(self, table: Table) -> List[Any]:
+        return [self.fn(row) for row in table.rows]
 
     def referenced_columns(self) -> List[str]:
         return list(self.columns)

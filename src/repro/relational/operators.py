@@ -6,10 +6,10 @@ table; they can be composed into trees.  Plain functions (``filter_rows``,
 bodies call them directly.
 
 All pure-relational operators here work **column-at-a-time** over the
-table's shared vectors: predicates and computed columns vectorize through
-:meth:`Expression.evaluate_column` (falling back to row-at-a-time only for
-impure expressions, which must keep their short-circuit/side-effect order),
-and row construction is replaced by position gathers and vector concats.
+table's shared vectors: predicates and computed columns are evaluated by
+:meth:`Expression.evaluate_column`, the only expression evaluator (it keeps
+``AND``/``OR`` short-circuit order with a selection vector), and row
+construction is replaced by position gathers and vector concats.
 Projection and rename stay zero-copy: the output shares the input's column
 vectors under copy-on-write.
 """
@@ -43,16 +43,9 @@ def _vector(table: Table, name: str) -> List[Any]:
     return store.column(resolved)
 
 
-def _evaluate_vector(table: Table, expression: Expression) -> List[Any]:
-    """Vectorized expression evaluation with a semantics-preserving fallback."""
-    if expression.is_pure():
-        return expression.evaluate_column(table)
-    return [expression.evaluate(row) for row in table.rows]
-
-
 def filter_rows(table: Table, predicate: Expression, name: Optional[str] = None) -> Table:
     """Selection: keep rows where ``predicate`` evaluates truthy."""
-    mask = _evaluate_vector(table, predicate)
+    mask = predicate.evaluate_column(table)
     positions = [i for i, keep in enumerate(mask) if keep]
     result = table.empty_like(name or f"{table.name}_filtered")
     result._store = table._store.gather(positions)
@@ -70,7 +63,7 @@ def project(table: Table, columns: Sequence[str], name: Optional[str] = None) ->
 def extend(table: Table, column_name: str, expression: Expression,
            data_type: Optional[DataType] = None, name: Optional[str] = None) -> Table:
     """Extended projection: add a computed column (input vectors shared)."""
-    values = _evaluate_vector(table, expression)
+    values = expression.evaluate_column(table)
     if data_type is None:
         data_type = DataType.JSON
         for value in values:

@@ -9,14 +9,13 @@ until one of them writes, at which point only the touched column is copied.
 
 from __future__ import annotations
 
-import functools
 from collections.abc import MutableSequence
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
 
 from repro.errors import SchemaError, UnknownColumnError
 from repro.relational.columns import ColumnStore, RowView
 from repro.relational.schema import Column, Schema
-from repro.relational.types import DataType, compare_values
+from repro.relational.types import DataType
 
 
 class TrackedRows(MutableSequence):
@@ -397,30 +396,18 @@ class Table:
                 out.append(value)
         return out
 
-    def where(self, predicate: Callable[[Dict[str, Any]], bool], name: Optional[str] = None) -> "Table":
+    def where(self, predicate: Callable[[Mapping[str, Any]], bool],
+              name: Optional[str] = None) -> "Table":
         """A new table holding rows matching ``predicate``."""
-        positions = [i for i in range(len(self._store))
-                     if predicate(RowView(self, i))]
-        result = self.empty_like(name or f"{self.name}_filtered")
-        result._store = self._store.gather(positions)
-        return result
+        # Imported here: both modules import this one.
+        from repro.relational.expressions import Lambda
+        from repro.relational.operators import filter_rows
+        return filter_rows(self, Lambda(predicate), name=name)
 
     def order_by(self, column: str, descending: bool = False, name: Optional[str] = None) -> "Table":
         """A new table sorted by one column (NULLs first ascending)."""
-        col = self.schema.column(column)
-        vector = self._store.column(col.name)
-
-        def cmp(a: int, b: int) -> int:
-            result = compare_values(vector[a], vector[b])
-            if result is None:
-                result = compare_values(repr(vector[a]), repr(vector[b])) or 0
-            return result
-
-        order = sorted(range(len(self._store)), key=functools.cmp_to_key(cmp),
-                       reverse=descending)
-        result = self.empty_like(name or f"{self.name}_sorted")
-        result._store = self._store.gather(order)
-        return result
+        from repro.relational.operators import sort
+        return sort(self, [(column, descending)], name=name)
 
     def select_columns(self, names: Sequence[str], name: Optional[str] = None) -> "Table":
         """A new table with only the given columns (vectors stay shared)."""

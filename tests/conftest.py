@@ -7,6 +7,9 @@ deterministic, so sharing them keeps the suite fast without coupling tests.
 
 from __future__ import annotations
 
+import argparse
+import sys
+
 import pytest
 
 from repro import KathDB, KathDBConfig, ScriptedUser, build_movie_corpus
@@ -21,6 +24,35 @@ from repro.relational.table import Table
 
 CORPUS_SIZE = 20
 CORPUS_SEED = 7
+
+
+def _positive_seconds(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--switch-interval", type=_positive_seconds, default=None, metavar="SECONDS",
+        help="run the session under sys.setswitchinterval(SECONDS); small values "
+             "hand the GIL over often and shake out races in threaded tests")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def switch_interval(request):
+    """Apply ``--switch-interval`` for the session, restoring it afterwards."""
+    interval = request.config.getoption("--switch-interval")
+    if interval is None:
+        yield None
+        return
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(interval)
+    try:
+        yield interval
+    finally:
+        sys.setswitchinterval(previous)
 
 
 @pytest.fixture(scope="session")

@@ -1,11 +1,15 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+import math
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.datamodel.lineage import LineageStore
+from repro.errors import ExpressionError
 from repro.models.embeddings import EmbeddingModel, cosine_similarity
 from repro.models.lexicon import DEFAULT_LEXICON
-from repro.relational.expressions import BinaryOp, col, lit
+from repro.relational.expressions import BinaryOp, InList, IsNull, UnaryOp, col, lit
 from repro.relational.operators import (
     AggregateSpec,
     aggregate,
@@ -282,6 +286,72 @@ class TestColumnarProperties:
         for name in ("movie_id", "title", "year"):
             assert parent.shares_column(child, name)
             assert parent.column(name) is child.column(name)
+
+
+# ---------------------------------------------------------------------------
+# Expression evaluation: one table at a time vs one row at a time
+# ---------------------------------------------------------------------------
+column_strategy = st.sampled_from(("movie_id", "title", "year", "score")).map(col)
+leaf_strategy = st.one_of(
+    column_strategy,
+    st.one_of(st.none(), st.booleans(), st.integers(min_value=-5, max_value=2030),
+              st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+              st.text(alphabet="ab ", max_size=3)).map(lit),
+    # Raises on some rows only: text + int, number + text; NULL + x is NULL.
+    st.builds(BinaryOp, st.just("+"), column_strategy, st.sampled_from((1, "a")).map(lit)),
+)
+
+
+def _expression_nodes(children):
+    return st.one_of(
+        st.builds(BinaryOp, st.sampled_from(("=", "!=", "<", "<=", ">", ">=")),
+                  children, children),
+        st.builds(BinaryOp, st.sampled_from(("AND", "OR")), children, children),
+        st.builds(BinaryOp, st.sampled_from(("AND", "OR")),
+                  st.builds(IsNull, column_strategy, st.booleans()), children),
+        st.builds(BinaryOp, st.sampled_from(("+", "-", "/", "%")), children, children),
+        st.builds(UnaryOp, st.just("NOT"), children),
+        st.builds(IsNull, children, st.booleans()),
+        st.builds(InList, children, st.lists(children, min_size=1, max_size=3),
+                  st.booleans()),
+    )
+
+
+expression_strategy = st.recursive(leaf_strategy, _expression_nodes, max_leaves=6)
+
+
+def _comparable(values):
+    """NaN compares unequal to itself; arithmetic over overflowed floats makes it."""
+    return ["nan" if isinstance(v, float) and math.isnan(v) else v for v in values]
+
+
+class TestExpressionProperties:
+    @given(rows_strategy, expression_strategy)
+    @settings(max_examples=500, deadline=None)
+    def test_column_evaluation_matches_row_evaluation(self, rows, expression):
+        """``evaluate_column`` raises exactly when some row's ``evaluate``
+        raises, and otherwise returns the per-row results; ``filter_rows``
+        keeps exactly the truthy rows, in order.  AND/OR hand their right
+        operand only the rows the left one leaves undecided, so an operand
+        that raises on decided rows must not raise here either."""
+        table = make_table(rows)
+        row_dicts = [dict(row) for row in table]
+        results, raised = [], False
+        for row in row_dicts:
+            try:
+                results.append(expression.evaluate(row))
+            except ExpressionError:
+                raised = True
+        if raised:
+            with pytest.raises(ExpressionError):
+                expression.evaluate_column(table)
+            with pytest.raises(ExpressionError):
+                filter_rows(table, expression)
+            return
+        assert _comparable(expression.evaluate_column(table)) == _comparable(results)
+        kept = filter_rows(table, expression)
+        assert [dict(row) for row in kept] == [
+            row for row, value in zip(row_dicts, results) if value]
 
 
 # ---------------------------------------------------------------------------

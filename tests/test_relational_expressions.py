@@ -19,6 +19,9 @@ from repro.relational.expressions import (
     lit,
     or_,
 )
+from repro.relational.operators import filter_rows
+from repro.relational.schema import Schema
+from repro.relational.table import Table
 
 ROW = {"title": "Guilty by Suspicion", "year": 1991, "score": 0.99, "missing": None}
 
@@ -135,3 +138,59 @@ class TestFunctionsAndLambda:
         expression = and_(eq(col("year"), lit(1991)), Like(col("title"), "%a%"))
         text = expression.describe()
         assert "year = 1991" in text and "LIKE" in text
+
+
+class TestShortCircuit:
+    """AND/OR evaluate their right operand only over undecided rows."""
+
+    @staticmethod
+    def table():
+        rows = [{"id": 1, "title": None}, {"id": 2, "title": "x"},
+                {"id": 3, "title": None}, {"id": 4, "title": "y"}]
+        return Table("t", Schema.of(("id", "int"), ("title", "text")), rows)
+
+    @staticmethod
+    def title_plus_one_is_one():
+        # Raises on every non-NULL title: 'x' + 1 is not defined.
+        return BinaryOp("=", BinaryOp("+", col("title"), lit(1)), lit(1))
+
+    def test_and_skips_rows_the_left_operand_rejects(self):
+        expression = and_(IsNull(col("title")), self.title_plus_one_is_one())
+        assert filter_rows(self.table(), expression).rows == []
+        assert expression.evaluate({"title": "x"}) is False
+
+    def test_or_skips_rows_the_left_operand_accepts(self):
+        expression = or_(IsNull(col("title"), negated=True), self.title_plus_one_is_one())
+        kept = filter_rows(self.table(), expression)
+        assert kept.column_values("id") == [2, 4]
+        assert expression.evaluate({"title": "x"}) is True
+
+    def test_right_operand_sees_only_undecided_rows(self):
+        seen = []
+
+        def log(row):
+            seen.append(row["id"])
+            return row["id"] > 2
+
+        kept = filter_rows(self.table(), and_(IsNull(col("title"), negated=True),
+                                              Lambda(log)))
+        assert seen == [2, 4]
+        assert kept.column_values("id") == [4]
+
+        seen.clear()
+        kept = filter_rows(self.table(), or_(IsNull(col("title"), negated=True),
+                                             Lambda(log)))
+        assert seen == [1, 3]
+        assert kept.column_values("id") == [2, 3, 4]
+
+    def test_nested_selection_vectors_compose(self):
+        seen = []
+
+        def log(row):
+            seen.append(row["id"])
+            return True
+
+        expression = and_(BinaryOp(">", col("id"), lit(1)),
+                          IsNull(col("title"), negated=True), Lambda(log))
+        assert filter_rows(self.table(), expression).column_values("id") == [2, 4]
+        assert seen == [2, 4]
