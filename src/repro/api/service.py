@@ -93,8 +93,7 @@ class KathDBService(RequestFrontend):
             self.catalog, self.lineage,
             batch_size=GatewayConfig.max_batch)
         self.profile_cache = (
-            ProfileCache(path=self.config.profile_cache_path,
-                         backend=(self.skill_store.backend
+            ProfileCache(backend=(self.skill_store.backend
                                   if self.skill_store is not None else None))
             if self.config.enable_profile_cache else None)
         self.prepared: Optional[PreparedQueryCache] = (

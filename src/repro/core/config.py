@@ -40,9 +40,10 @@ class KathDBConfig:
     max_variants: int = 3
     variant_overrides: Dict[str, str] = field(default_factory=dict)
     # Offline profiling: reuse per-(family, variant) profiling statistics across
-    # queries instead of re-profiling every candidate on sample rows.
+    # queries instead of re-profiling every candidate on sample rows.  The
+    # statistics live in memory, or in the skill store's backend when the
+    # store is enabled.
     enable_profile_cache: bool = False
-    profile_cache_path: Optional[Union[str, Path]] = None
     # Durable skill store: persist validated FAOs (code + signature
     # fingerprint + profile + critic verdict) and reuse them across restarts
     # after revalidation on sampled live data.  Backends: "memory" (default),

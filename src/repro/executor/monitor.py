@@ -20,6 +20,10 @@ from repro.parser.logical_plan import LogicalPlanNode
 from repro.relational.table import Table
 
 ANOMALY_OPTIONS = ["accept", "adjust", "rewrite"]
+# Node families whose output the fan-out check inspects, and those for which
+# an empty output is a legitimate answer rather than an anomaly.
+_JOIN_FAMILIES = ("join_text", "join_images", "join_results")
+_FILTER_FAMILIES = ("flag_filter", "score_filter", "relational_filter")
 
 
 @dataclass
@@ -67,7 +71,7 @@ class ExecutionMonitor:
 
         # 2. Join fan-out check: one entity matched to several rows (the paper's
         #    poster-linked-to-multiple-movies example).
-        if "join" in node.name.lower():
+        if node.family in _JOIN_FAMILIES:
             for key_column in ("image_uri", "movie_id"):
                 if output.schema.has_column(key_column):
                     counts: Dict[object, int] = {}
@@ -90,7 +94,7 @@ class ExecutionMonitor:
 
         # 3. Empty result from a non-empty input is suspicious for non-filter nodes.
         if primary is not None and len(primary) > 0 and len(output) == 0 \
-                and not node.name.startswith("filter_"):
+                and node.family not in _FILTER_FAMILIES:
             anomalies.append(Anomaly(
                 operator_name=node.name,
                 message=f"{node.name!r} produced an empty table from {len(primary)} input rows.",

@@ -43,8 +43,8 @@ class Coder:
 
     # -- public API -----------------------------------------------------------------
     def candidate_variants(self, node: LogicalPlanNode) -> List[ImplementationSpec]:
-        """The implementation variants available for a node."""
-        return self.library.candidates_for_node(node)
+        """The implementation variants available for a node's family."""
+        return self.library.candidates(node.family, node.name)
 
     def generate(self, node: LogicalPlanNode, variant: Optional[str] = None,
                  hint: Optional[str] = None,

@@ -7,6 +7,10 @@ thresholds, join keys).  Each template family offers one or more variants with
 different cost/accuracy profiles -- the physical alternatives the optimizer
 chooses among, e.g. an embedding-similarity scorer vs. a cheap keyword-overlap
 scorer, or a scene-statistics poster classifier vs. a per-poster VLM query.
+A node's family is the one its creator declared (``LogicalPlanNode.family``);
+:meth:`ImplementationLibrary.candidates` looks it up and rejects a node whose
+family has no registered template.  The fused variant composes the member
+steps' own templates rather than carrying its own copies.
 
 Every variant produces a :class:`~repro.fao.function.GeneratedFunction` body
 plus a human-readable source text that is persisted by the registry and shown
@@ -141,6 +145,25 @@ def _vlm_outcome(answer: Dict[str, Any], concept: str) -> Tuple[float, bool]:
     return round(float(score), 6), bool(answer["answer"])
 
 
+def rank_sort_key(node: LogicalPlanNode, schema: Schema) -> Tuple[str, bool]:
+    """The ``(column, descending)`` key a ``rank`` node sorts a table by.
+
+    The column is the node's ``sort_column`` when the table has it, else the
+    table's last ``*_score`` column.  The rank body and the sharded merge
+    both call this, so a merged ranking is re-sorted on exactly the key each
+    shard used.
+    """
+    descending = bool(node.parameters.get("descending", True))
+    sort_column = node.parameters.get("sort_column", "final_score")
+    if schema.has_column(sort_column):
+        return sort_column, descending
+    score_like = [c.name for c in schema if c.name.endswith("_score")]
+    if not score_like:
+        raise FunctionGenerationError(
+            f"{node.name!r} cannot find a score column to sort by in {schema.column_names()}")
+    return score_like[-1], descending
+
+
 # ---------------------------------------------------------------------------
 # Implementation specs
 # ---------------------------------------------------------------------------
@@ -180,50 +203,18 @@ class ImplementationLibrary:
         """All known template families."""
         return sorted(self._builders)
 
-    def classify_node(self, node: LogicalPlanNode) -> str:
-        """Decide which template family a logical-plan node belongs to."""
-        name = node.name.lower()
-        parameters = node.parameters
-        if name.startswith("fused_") or "sub_specs" in parameters:
-            return "fused_scores"
-        if name.startswith("select_"):
-            return "select_columns"
-        if "join_text" in name:
-            return "join_text"
-        if "join_image" in name or "join_scene" in name:
-            return "join_images"
-        if name == "join_results" or name.startswith("join_"):
-            return "join_results"
-        if name.startswith("gen_recency"):
-            return "recency_score"
-        if name.startswith("gen_") and parameters.get("concept"):
-            return "semantic_score"
-        if name.startswith("combine"):
-            return "combine_scores"
-        if name.startswith("classify_"):
-            return "classify_image"
-        if name.startswith("filter_") and "flag_column" in parameters:
-            return "flag_filter"
-        if name.startswith("filter_") and "threshold" in parameters:
-            return "score_filter"
-        if name.startswith("filter_") and "op" in parameters:
-            return "relational_filter"
-        if name.startswith("rank"):
-            return "rank"
-        if name.startswith("project"):
-            return "project_result"
-        raise FunctionGenerationError(f"cannot classify node {node.name!r} into a template family")
+    def candidates(self, family: str, node_name: str = "") -> List[ImplementationSpec]:
+        """Candidate implementations of one family, most accurate first.
 
-    def candidates(self, family: str) -> List[ImplementationSpec]:
-        """Candidate implementations of one family, most accurate first."""
+        ``node_name`` names the plan node asking, for the error raised when
+        its family has no registered templates.
+        """
         specs = self._builders.get(family)
         if not specs:
-            raise FunctionGenerationError(f"no implementations registered for family {family!r}")
+            asker = f"node {node_name!r}: " if node_name else ""
+            raise FunctionGenerationError(
+                f"{asker}no implementations registered for family {family!r}")
         return sorted(specs, key=lambda s: -s.accuracy_prior)
-
-    def candidates_for_node(self, node: LogicalPlanNode) -> List[ImplementationSpec]:
-        """Candidate implementations for one logical-plan node."""
-        return self.candidates(self.classify_node(node))
 
     # -- registration of all template families ------------------------------------------
     def _register(self, spec: ImplementationSpec) -> None:
@@ -749,15 +740,7 @@ class ImplementationLibrary:
 
         def body(inputs: Dict[str, Table], context: FunctionContext) -> Table:
             source = _primary_input(node, inputs)
-            column = sort_column if source.schema.has_column(sort_column) else None
-            if column is None:
-                score_like = [c.name for c in source.schema if c.name.endswith("_score")]
-                if not score_like:
-                    raise FunctionGenerationError(
-                        f"{node.name!r} cannot find a score column to sort by in "
-                        f"{source.column_names()}")
-                column = score_like[-1]
-            return ops.sort(source, [(column, descending)], name=node.output)
+            return ops.sort(source, [rank_sort_key(node, source.schema)], name=node.output)
 
         source_text = (
             f"def {node.name}(films):\n"
@@ -782,71 +765,28 @@ class ImplementationLibrary:
         sub_specs = list(node.parameters.get("sub_specs") or [])
         if not sub_specs:
             raise FunctionGenerationError(f"fused node {node.name!r} has no sub_specs")
+        # Each step runs its own family's most accurate template body, in
+        # chain order; every step reads the previous step's table under the
+        # fused node's input name.
+        steps = []
+        for spec in sub_specs:
+            step = LogicalPlanNode(name=spec["name"], description=spec["description"],
+                                   inputs=list(node.inputs[:1]), output=node.output,
+                                   parameters=dict(spec["parameters"]),
+                                   family=spec["family"])
+            steps.append(self.candidates(step.family, step.name)[0].build(step)[0])
 
         def body(inputs: Dict[str, Table], context: FunctionContext) -> Table:
-            source = _primary_input(node, inputs)
-            length = len(source)
-            year_vector = _safe_vector(source, "year")
-            years = [y for y in year_vector if y is not None]
-            low, high = (min(years), max(years)) if years else (0, 1)
-            span = max(1, high - low)
+            table = _primary_input(node, inputs)
+            for step_body in steps:
+                table = step_body({node.inputs[0]: table}, context)
+            return table
 
-            new_columns: List[Tuple[str, DataType]] = []
-            for spec in sub_specs:
-                parameters = spec.get("parameters", {})
-                column = parameters.get("score_column") or parameters.get("output_column")
-                if column:
-                    new_columns.append((column, DataType.FLOAT))
-
-            # Whole-column fusion: each sub-spec produces one score vector; a
-            # later spec (combine) reads the vectors produced before it, then
-            # falls back to the source columns -- same visibility the per-row
-            # ``merged`` dict used to provide.
-            computed_vectors: Dict[str, List[Any]] = {}
-
-            def _column_of(name: str) -> List[Any]:
-                if name in computed_vectors:
-                    return computed_vectors[name]
-                return _safe_vector(source, name)
-
-            for spec in sub_specs:
-                parameters = spec.get("parameters", {})
-                name = spec.get("name", "")
-                if name.startswith("gen_recency"):
-                    column = parameters.get("score_column", "recency_score")
-                    spec_years = _column_of(parameters.get("year_column", "year"))
-                    values: List[Any] = [
-                        None if year is None else round((year - low) / span, 6)
-                        for year in spec_years]
-                elif name.startswith("gen_"):
-                    column = parameters.get("score_column", "semantic_score")
-                    keywords = list(parameters.get("keywords") or [])
-                    scores = context.models.call_many(
-                        "embeddings", "match_fraction",
-                        [((keywords, terms or []), {"purpose": node.name})
-                         for terms in _column_of("entity_terms")],
-                        batch_size=_batch_size(context))
-                    values = [round(float(score), 6) for score in scores]
-                elif name.startswith("combine"):
-                    column = parameters.get("output_column", "final_score")
-                    weights = dict(parameters.get("weights") or {})
-                    totals = [0.0] * length
-                    for weighted_column, weight in weights.items():
-                        for i, value in enumerate(_column_of(weighted_column)):
-                            totals[i] += weight * float(value or 0.0)
-                    values = [round(total, 8) for total in totals]
-                else:
-                    continue
-                computed_vectors[column] = values
-
-            return _extend_table_columns(source, node.output, new_columns,
-                                         computed_vectors)
-
-        steps = ", ".join(spec.get("name", "?") for spec in sub_specs)
+        step_names = ", ".join(spec["name"] for spec in sub_specs)
         source_text = (
             f"def {node.name}(films):\n"
             f"    \"\"\"{node.description}\"\"\"\n"
-            f"    # fused steps: {steps}\n"
+            f"    # fused steps: {step_names}\n"
             "    for row in films:\n"
             "        # all scores and their combination are computed inline in one pass\n"
             "        ...\n"

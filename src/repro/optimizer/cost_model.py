@@ -4,8 +4,9 @@ The cost of a physical operator is dominated by its model calls, so the model
 estimates *tokens* (per-row template priors refined by measured profiler
 tokens) and converts them to a synthetic latency; relational work contributes
 a small per-row constant.  Cardinalities are propagated through the plan with
-simple selectivity heuristics -- enough to make predicate pushdown and cheap
-variants visibly cheaper, which is all the ablation benchmarks need.
+selectivity priors keyed by each node's declared family -- enough to make
+predicate pushdown and cheap variants visibly cheaper, which is all the
+ablation benchmarks need.
 """
 
 from __future__ import annotations
@@ -18,10 +19,9 @@ from repro.fao.profiler import ProfileResult
 from repro.parser.logical_plan import LogicalPlan, LogicalPlanNode
 from repro.relational.catalog import Catalog
 
-# Selectivity priors by node family keyword.
-_FILTER_SELECTIVITY = 0.5
-_FLAG_FILTER_SELECTIVITY = 0.5
-_RELATIONAL_FILTER_SELECTIVITY = 0.4
+# Selectivity priors by node family; a family not listed keeps every row
+# (scores, classification, ranking, projection).
+_SELECTIVITY = {"score_filter": 0.5, "flag_filter": 0.5, "relational_filter": 0.4}
 # Synthetic latency per 1000 tokens (seconds); matches the CostMeter scale.
 _SECONDS_PER_1K_TOKENS = 0.02
 # Relational per-row processing cost (seconds).  Halved when the relational
@@ -73,19 +73,11 @@ class CostModel:
 
     def estimate_output_cardinality(self, node: LogicalPlanNode, input_rows: int) -> int:
         """Propagate cardinality through one node."""
-        name = node.name.lower()
-        if name.startswith("filter_"):
-            if "flag_column" in node.parameters:
-                selectivity = _FLAG_FILTER_SELECTIVITY
-            elif "op" in node.parameters:
-                selectivity = _RELATIONAL_FILTER_SELECTIVITY
-            else:
-                selectivity = _FILTER_SELECTIVITY
-            return max(1, int(round(input_rows * selectivity)))
-        if name.startswith("join_results"):
+        if node.family in _SELECTIVITY:
+            return max(1, int(round(input_rows * _SELECTIVITY[node.family])))
+        if node.family == "join_results":
             other = self.table_cardinality(node.inputs[1]) if len(node.inputs) > 1 else input_rows
             return max(1, min(input_rows, other))
-        # Scores, classification, ranking, projection: one output row per input row.
         return input_rows
 
     # -- cost estimation ---------------------------------------------------------------

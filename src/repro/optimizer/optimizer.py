@@ -178,7 +178,7 @@ class QueryOptimizer:
         context = FunctionContext(models=self.models, catalog=self.catalog)
         input_samples = {name: table.head(2) for name, table in inputs.items()}
 
-        family = self.coder.library.classify_node(node)
+        family = node.family
         specs = self.coder.candidate_variants(node)
         override = self.variant_overrides.get(node.name) or self.variant_overrides.get(family)
         if override is not None:
@@ -194,7 +194,7 @@ class QueryOptimizer:
                 and node.name not in self.coder.fault_injection:
             with obs_span("skill_lookup", kind="stage", node=node.name) as sk_sp:
                 hit = self.skill_store.lookup(
-                    node, family, inputs, context, models=self.models,
+                    node, inputs, context, models=self.models,
                     profiler=self.profiler, critic=self.critic, monitor=self.monitor,
                     sample_size=self.sample_size)
                 sk_sp.tag(hit=hit is not None)
@@ -258,7 +258,7 @@ class QueryOptimizer:
         # regenerating.  Overridden variants are a caller's experiment, not a
         # validated default choice, so they are not stored.
         if self.skill_store is not None and override is None:
-            self.skill_store.put(node, family, chosen, chosen_profile, chosen_verdict,
+            self.skill_store.put(node, chosen, chosen_profile, chosen_verdict,
                                  models=self.models, inputs=inputs)
 
         # Materialize the sample output of the chosen implementation so

@@ -4,20 +4,18 @@ The paper notes that profiling function implementations on the fly slows query
 planning down and asks how the effort could be reduced "e.g., through offline
 profiling".  The :class:`ProfileCache` answers that question's engineering
 half: per-(family, variant) statistics from earlier profiling runs are kept
-(optionally persisted to disk) and reused by the optimizer, so repeated
-queries skip the per-candidate execution of sample rows.
+(optionally written through a skill-store backend, so they survive restarts)
+and reused by the optimizer, so repeated queries skip the per-candidate
+execution of sample rows.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Dict, Optional, TYPE_CHECKING, Tuple, Union
+from typing import Any, Dict, Optional, TYPE_CHECKING, Tuple
 
 from repro.fao.profiler import ProfileResult
-from repro.utils.io import atomic_write_text
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.skills.backends import SkillBackend
@@ -77,9 +75,8 @@ class CachedProfile:
 class ProfileCache:
     """A (family, variant)-keyed cache of profiling statistics."""
 
-    def __init__(self, path: Optional[Union[str, Path]] = None, min_samples: int = 1,
+    def __init__(self, min_samples: int = 1,
                  backend: Optional["SkillBackend"] = None, backend_key: str = "profiles"):
-        self.path = Path(path) if path else None
         self.min_samples = min_samples
         # Optional durable storage through a skill-store backend (one store,
         # one path): entries are loaded at construction and written through
@@ -94,10 +91,10 @@ class ProfileCache:
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
-        if self.path is not None and self.path.exists():
-            self.load()
         if self.backend is not None:
-            self._load_backend()
+            for key, value in (self.backend.get(self.backend_key) or {}).items():
+                family, _, variant = key.partition("::")
+                self._entries[(family, variant)] = CachedProfile.from_dict(value)
 
     # -- lookups -----------------------------------------------------------------
     def get(self, family: str, variant: str) -> Optional[CachedProfile]:
@@ -133,43 +130,6 @@ class ProfileCache:
         """Serializable entries (caller must hold the lock)."""
         return {f"{family}::{variant}": entry.to_dict()
                 for (family, variant), entry in self._entries.items()}
-
-    def save(self, path: Optional[Union[str, Path]] = None) -> Path:
-        """Persist the cache as JSON (atomically); returns the path written."""
-        target = Path(path) if path else self.path
-        with self._lock:
-            payload = self._payload()
-        if self.backend is not None:
-            self.backend.put(self.backend_key, payload)
-            if target is None and self.backend.location is not None:
-                return Path(self.backend.location)
-        if target is None:
-            raise ValueError("no path configured for the profile cache")
-        atomic_write_text(target, json.dumps(payload, indent=2))
-        return target
-
-    def _load_backend(self) -> int:
-        """Load entries previously written through the backend."""
-        assert self.backend is not None
-        payload = self.backend.get(self.backend_key)
-        if not payload:
-            return 0
-        with self._lock:
-            for key, value in payload.items():
-                family, _, variant = key.partition("::")
-                self._entries[(family, variant)] = CachedProfile.from_dict(value)
-        return len(payload)
-
-    def load(self, path: Optional[Union[str, Path]] = None) -> int:
-        """Load entries from JSON; returns how many entries were loaded."""
-        source = Path(path) if path else self.path
-        if source is None or not source.exists():
-            return 0
-        payload = json.loads(source.read_text(encoding="utf-8"))
-        for key, value in payload.items():
-            family, _, variant = key.partition("::")
-            self._entries[(family, variant)] = CachedProfile.from_dict(value)
-        return len(payload)
 
     def describe(self) -> str:
         lines = [f"profile cache ({len(self._entries)} entries, "

@@ -22,6 +22,10 @@ from repro.parser.logical_plan import LogicalPlan, LogicalPlanNode
 from repro.relational.catalog import Catalog
 
 
+# One-to-one scoring families that operator fusion chains together.
+_FUSABLE_FAMILIES = ("semantic_score", "recency_score", "combine_scores")
+
+
 def applied_rewrites(enable_pushdown: bool, enable_fusion: bool) -> List[str]:
     """Names of the rewrites that a configuration enables (for reporting)."""
     names = []
@@ -49,7 +53,7 @@ def predicate_pushdown(plan: LogicalPlan, catalog: Catalog) -> Tuple[LogicalPlan
     new) plan and whether anything changed.
     """
     new_plan = _clone(plan)
-    select_nodes = [node for node in new_plan.nodes if node.name.startswith("select_")]
+    select_nodes = [node for node in new_plan.nodes if node.family == "select_columns"]
     if not select_nodes:
         return new_plan, False
     select_node = select_nodes[0]
@@ -60,10 +64,9 @@ def predicate_pushdown(plan: LogicalPlan, catalog: Catalog) -> Tuple[LogicalPlan
 
     changed = False
     for filter_node in list(new_plan.nodes):
-        parameters = filter_node.parameters
-        if "op" not in parameters or "column" not in parameters:
+        if filter_node.family != "relational_filter":
             continue
-        column = str(parameters["column"]).lower()
+        column = str(filter_node.parameters["column"]).lower()
         if column not in base_columns:
             continue
         if filter_node.inputs == [select_node.output]:
@@ -98,15 +101,15 @@ def predicate_pushdown(plan: LogicalPlan, catalog: Catalog) -> Tuple[LogicalPlan
 def fuse_score_chain(plan: LogicalPlan) -> Tuple[LogicalPlan, bool]:
     """Fuse chains of one-to-one scoring nodes into a single function.
 
-    The fused node's parameters carry the sub-steps (``sub_specs``) so the
-    implementation library can build one composite body.  Only maximal chains
-    of at least two nodes are fused.
+    The fused node (family ``fused_scores``) carries the sub-steps in
+    ``sub_specs``, each with its own family, so the implementation library
+    can run each step's own template in one composite body.  Only maximal
+    chains of at least two nodes are fused.
     """
     new_plan = _clone(plan)
-    fusable_prefixes = ("gen_", "combine_")
 
     def is_fusable(node: LogicalPlanNode) -> bool:
-        return (node.name.startswith(fusable_prefixes)
+        return (node.family in _FUSABLE_FAMILIES
                 and node.dependency_pattern in ("one_to_one", "one_to_many")
                 and len(node.inputs) == 1)
 
@@ -134,7 +137,7 @@ def fuse_score_chain(plan: LogicalPlan) -> Tuple[LogicalPlan, bool]:
     sub_specs = []
     for node in chain:
         spec = {"name": node.name, "description": node.description,
-                "parameters": dict(node.parameters)}
+                "family": node.family, "parameters": dict(node.parameters)}
         sub_specs.append(spec)
 
     fused = LogicalPlanNode(
@@ -146,6 +149,7 @@ def fuse_score_chain(plan: LogicalPlan) -> Tuple[LogicalPlan, bool]:
         dependency_pattern="one_to_one",
         sketch_step=chain[0].sketch_step,
         parameters={"sub_specs": sub_specs},
+        family="fused_scores",
     )
 
     # Replace the chain with the fused node at the first chain position.

@@ -4,8 +4,14 @@ Each node carries exactly the fields of the paper's JSON layout -- ``name``,
 ``description``, ``inputs`` (datasource names: base relations, views, or the
 outputs of earlier nodes), and ``output`` (the table the function produces) --
 plus bookkeeping the optimizer and lineage need (dependency pattern, the
-sketch step the node realizes, and free-form parameters such as keyword lists
-or score weights).
+sketch step the node realizes, free-form parameters such as keyword lists or
+score weights, and the node's template ``family``).
+
+Whoever creates a node declares its family (the plan writer per purpose, the
+fusion rewrite for a fused node); the implementation library, the cost model,
+the execution monitor and the sharded merge all read that field and never
+re-derive it from the node's name.  The family stays out of the Figure 3
+JSON.
 """
 
 from __future__ import annotations
@@ -28,6 +34,8 @@ class LogicalPlanNode:
     dependency_pattern: str = "one_to_one"
     sketch_step: Optional[int] = None
     parameters: Dict[str, Any] = field(default_factory=dict)
+    #: The implementation-library template family, e.g. ``"semantic_score"``.
+    family: str = ""
 
     def signature_json(self) -> Dict[str, Any]:
         """The exact JSON layout of the paper's Figure 3."""

@@ -5,7 +5,10 @@ follow the paper's Figure 3 JSON layout.  The writer works purpose-by-purpose
 over the sketch: column selection, one join per modality, one scoring node per
 semantic score, recency + combination when requested, classification/filter
 nodes for image predicates, relational filters, and a final ranking or
-projection node.
+projection node.  Each node is stamped with the template family that
+implements it; flag and score filters share the purpose ``filter:``, so the
+family is an explicit argument rather than something parsed from a purpose
+or a name.
 
 Relational filters are deliberately placed *late* in the drafted plan (just
 before the final node); the optimizer's predicate-pushdown rewrite is what
@@ -41,7 +44,8 @@ class LogicalPlanGenerator:
             return step.index if step else None
 
         def add(name: str, description: str, inputs: List[str], output: str,
-                purpose: str, parameters: Optional[Dict] = None) -> LogicalPlanNode:
+                purpose: str, family: str,
+                parameters: Optional[Dict] = None) -> LogicalPlanNode:
             node = LogicalPlanNode(
                 name=name,
                 description=description,
@@ -50,6 +54,7 @@ class LogicalPlanGenerator:
                 dependency_pattern=llm.classify_dependency_pattern(description),
                 sketch_step=step_index(purpose),
                 parameters=parameters or {},
+                family=family,
             )
             plan.add(node)
             return node
@@ -58,7 +63,7 @@ class LogicalPlanGenerator:
         current = "films_base"
         add("select_movie_columns",
             "Select the relevant columns (movie_id, title, release year) from movie_table.",
-            ["movie_table"], current, "select_columns",
+            ["movie_table"], current, "select_columns", "select_columns",
             parameters={"columns": ["movie_id", "title", "year"]})
 
         # 2. Modality joins.
@@ -69,14 +74,14 @@ class LogicalPlanGenerator:
             add("join_text_entities",
                 "Join the relational view over text with the movie table: associate each film "
                 "with the entities extracted from its plot document.",
-                [current, "film_plot", "text_entities"], text_current, "join_text")
+                [current, "film_plot", "text_entities"], text_current, "join_text", "join_text")
         if intent.needs_images:
             image_current = "films_with_image_scene"
             add("join_image_scene",
                 "Join the relational view over images with the movie table: associate each film "
                 "with its poster's scene-graph objects and pixel statistics.",
                 [current, "poster_images", "image_objects", "image_frames"],
-                image_current, "join_images")
+                image_current, "join_images", "join_images")
 
         # 3. Semantic scores over the text side.
         score_source = text_current or current
@@ -87,7 +92,7 @@ class LogicalPlanGenerator:
                 f"Assign a {score.name.replace('_', ' ')} to each film by measuring vector "
                 f"similarity between the generated keyword list and the entities extracted "
                 f"from the plot.",
-                [score_source], output, f"score:{score.name}",
+                [score_source], output, f"score:{score.name}", "semantic_score",
                 parameters={"score_column": score.name, "concept": score.concept,
                             "keywords": list(score.keywords),
                             "source_column": score.source_column})
@@ -100,14 +105,14 @@ class LogicalPlanGenerator:
             add("gen_recency_score",
                 "Assign a recency score to each film based on its release year, giving higher "
                 "scores to more recent films.",
-                [score_source], output, "score:recency_score",
+                [score_source], output, "score:recency_score", "recency_score",
                 parameters={"score_column": "recency_score", "year_column": "year"})
             score_source = output
             score_columns.append("recency_score")
             add("combine_scores",
                 "Combine the individual scores into a final score per film as a weighted sum "
                 f"using the weights {intent.score_weights}.",
-                [score_source], "films_with_final_score", "combine_scores",
+                [score_source], "films_with_final_score", "combine_scores", "combine_scores",
                 parameters={"weights": dict(intent.score_weights),
                             "output_column": "final_score",
                             "input_columns": list(score_columns)})
@@ -123,6 +128,7 @@ class LogicalPlanGenerator:
                 f"objects, color statistics) to determine whether the poster is "
                 f"'{predicate.name}'.",
                 [image_current or current], classified, f"classify:{predicate.name}",
+                "classify_image",
                 parameters={"flag_column": flag_column, "concept": predicate.concept})
             image_final = classified
             if predicate.mode == "filter":
@@ -131,7 +137,7 @@ class LogicalPlanGenerator:
                 add(f"filter_{predicate.name}",
                     f"Filter the films to {keep} those whose poster is classified as "
                     f"'{predicate.name}'.",
-                    [classified], filtered, f"filter:{predicate.name}",
+                    [classified], filtered, f"filter:{predicate.name}", "flag_filter",
                     parameters={"flag_column": flag_column,
                                 "keep_if_true": predicate.keep_if_true})
                 image_final = filtered
@@ -143,7 +149,7 @@ class LogicalPlanGenerator:
                 add(f"filter_{score.name}",
                     f"Keep only films whose {score.name.replace('_', ' ')} indicates the plot "
                     f"matches the requested concept (score above threshold).",
-                    [score_source], filtered, f"filter:{score.name}",
+                    [score_source], filtered, f"filter:{score.name}", "score_filter",
                     parameters={"score_column": score.name, "threshold": 0.4})
                 score_source = filtered
 
@@ -154,6 +160,7 @@ class LogicalPlanGenerator:
                 f"Keep only films where {relational_filter.column} {relational_filter.op} "
                 f"{relational_filter.value}.",
                 [score_source], filtered, f"relational_filter:{relational_filter.column}",
+                "relational_filter",
                 parameters={"column": relational_filter.column, "op": relational_filter.op,
                             "value": relational_filter.value})
             score_source = filtered
@@ -165,7 +172,7 @@ class LogicalPlanGenerator:
                 add("join_results",
                     "Join all intermediate results so every film carries its scores and its "
                     "poster classification.",
-                    [score_source, image_final], "films_joined", "join_results",
+                    [score_source, image_final], "films_joined", "join_results", "join_results",
                     parameters={"join_key": "movie_id"})
                 final_source = "films_joined"
             else:
@@ -178,12 +185,12 @@ class LogicalPlanGenerator:
             add("rank_films",
                 f"Rank the films by {sort_column.replace('_', ' ')}, highest first, and return "
                 "the ranked list with their scores and flags.",
-                [final_source], "final_ranked_films", "rank",
+                [final_source], "final_ranked_films", "rank", "rank",
                 parameters={"sort_column": sort_column, "descending": True})
         else:
             add("project_result",
                 "Return the films that satisfy all conditions, with their supporting columns.",
-                [final_source], "final_films", "project_result",
+                [final_source], "final_films", "project_result", "project_result",
                 parameters={})
 
         return plan

@@ -100,8 +100,11 @@ class _ClassBoard:
     def __init__(self, name: str, reserved: int):
         self.name = name
         self.reserved = reserved
+        # Tenants with queued work only: a queue is dropped when it drains,
+        # so one-off tenants (every request's default is a fresh one) leave
+        # nothing behind.
         self.queues: Dict[str, _TenantQueue] = {}
-        # Round-robin ring of tenants with queued work.
+        # Round-robin ring of the same tenants.
         self.active: Deque[str] = deque()
         self.running = 0
         self.depth = 0
@@ -123,12 +126,10 @@ class _ClassBoard:
     def pop_next(self) -> Optional[ScheduledTask]:
         """Deficit round-robin: one visit grants ``weight`` units; a pop
         costs one.  Weights are clamped >= 1 so every rotation makes
-        progress and the loop terminates."""
+        progress and the loop terminates.  A drained queue is deleted, which
+        also resets its deficit."""
         while self.active:
             queue = self.queues[self.active[0]]
-            if not queue.items:
-                self.active.popleft()
-                continue
             if queue.deficit >= 1.0:
                 queue.deficit -= 1.0
                 task = queue.items.popleft()
@@ -137,7 +138,7 @@ class _ClassBoard:
                     self.active.rotate(-1)
                 else:
                     self.active.popleft()
-                    queue.deficit = 0.0
+                    del self.queues[queue.tenant]
                 return task
             queue.deficit += queue.weight
             self.active.rotate(-1)
@@ -453,7 +454,7 @@ class FairShareScheduler:
             for board in self.boards.values():
                 for queue in board.queues.values():
                     pending.extend(queue.items)
-                    queue.items.clear()
+                board.queues.clear()
                 board.active.clear()
                 board.depth = 0
             self._cond.notify_all()

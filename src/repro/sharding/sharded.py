@@ -63,9 +63,12 @@ from repro.data.mmqa import MovieCorpus
 from repro.datamodel.views import PopulationReport
 from repro.errors import KathDBError
 from repro.executor.result import QueryResult
+from repro.fao.library import rank_sort_key
 from repro.gateway.fingerprint import request_key
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, attach, span
+from repro.parser.logical_plan import LogicalPlanNode
+from repro.relational import operators as ops
 from repro.relational.table import Table
 from repro.sched.cancel import current_cancel_token
 from repro.sharding.ring import HashRing
@@ -157,7 +160,7 @@ class ShardedService(RequestFrontend):
         directory_backends = {"gateway_cache_path": config.gateway_cache_backend,
                               "skill_store_path": config.skill_store_backend}
         for field in ("gateway_cache_path", "skill_store_path",
-                      "profile_cache_path", "trace_jsonl_path", "workspace"):
+                      "trace_jsonl_path", "workspace"):
             value = getattr(config, field)
             if value is None:
                 continue
@@ -341,9 +344,11 @@ class ShardedService(RequestFrontend):
                                  shed_reason=shed_reason,
                                  prepare_tokens=prepare, execute_tokens=execute,
                                  latency_ms=latency_ms)
-        tables = [r.result.final_table for r in responses  # type: ignore[union-attr]
-                  if isinstance(r, QueryResponse) and r.result is not None]
-        merged_table = self._merge_tables(request.nl_query, tables)
+        results = [r.result for r in responses
+                   if isinstance(r, QueryResponse) and r.result is not None]
+        # Every shard ran the same logical plan; its last node is the root.
+        merged_table = self._merge_tables(results[0].logical_plan.nodes[-1],
+                                          [result.final_table for result in results])
         result = QueryResult(nl_query=request.nl_query, final_table=merged_table,
                              total_tokens=prepare + execute)
         first = next(r for r in responses if isinstance(r, QueryResponse))
@@ -361,55 +366,25 @@ class ShardedService(RequestFrontend):
                              latency_ms=latency_ms,
                              trace_id=first.trace_id)
 
-    def _merge_tables(self, name: str, tables: Sequence[Table]) -> Table:
+    @staticmethod
+    def _merge_tables(root: LogicalPlanNode, tables: Sequence[Table]) -> Table:
         """Gather shard result tables into one global result.
 
-        When every shard's table is sorted non-increasing on some shared
-        numeric column (with at least one strict decrease somewhere — i.e.
-        the query ranked by it), the merge is a stable k-way merge on that
-        column descending, shard order breaking ties: the order a single
-        process would have produced for a global ranking.  Otherwise the
-        result is positional and shard-order concatenation preserves it.
+        ``root`` is the node that produced every shard's table.  Under a
+        ``rank`` root, the shard-order concatenation is re-sorted with
+        ``ops.sort`` on the key the rank body sorted each shard by
+        (:func:`~repro.fao.library.rank_sort_key`); the sort is stable, so
+        this is a k-way merge with shard order breaking ties.  Under any
+        other root (a filter's projection) the result is the plain
+        shard-order concatenation.
         """
-        rows_per_shard = [[dict(row) for row in table] for table in tables]
-        merged = [row for rows in rows_per_shard for row in rows]
-        sort_column = self._ranking_column(rows_per_shard)
-        if sort_column is not None:
-            # Stable sort over the shard-order concatenation == a k-way
-            # merge with shard index breaking ties.
-            merged.sort(key=lambda row: row[sort_column], reverse=True)
+        rows = [dict(row) for table in tables for row in table]
         schema = next((t.schema for t in tables if len(t.schema.columns)), None)
-        return Table.from_rows("scatter_result", merged, schema=schema)
-
-    @staticmethod
-    def _ranking_column(rows_per_shard: Sequence[Sequence[Dict[str, Any]]]
-                        ) -> Optional[str]:
-        populated = [rows for rows in rows_per_shard if rows]
-        if not populated:
-            return None
-        candidates = [column for column in populated[0][0]
-                      if all(isinstance(rows[0].get(column), (int, float))
-                             and not isinstance(rows[0].get(column), bool)
-                             for rows in populated)]
-        for column in candidates:
-            non_increasing, strict = True, False
-            for rows in populated:
-                values = [row.get(column) for row in rows]
-                if any(not isinstance(v, (int, float)) or isinstance(v, bool)
-                       for v in values):
-                    non_increasing = False
-                    break
-                for left, right in zip(values, values[1:]):
-                    if left < right:
-                        non_increasing = False
-                        break
-                    if left > right:
-                        strict = True
-                if not non_increasing:
-                    break
-            if non_increasing and strict:
-                return column
-        return None
+        merged = Table.from_rows("scatter_result", rows, schema=schema)
+        if root.family == "rank":
+            merged = ops.sort(merged, [rank_sort_key(root, merged.schema)],
+                              name="scatter_result")
+        return merged
 
     # -- stats / lifecycle --------------------------------------------------------
     def total_tokens(self) -> int:

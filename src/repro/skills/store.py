@@ -97,18 +97,18 @@ class SkillStore:
         self.backend.close()
 
     # -- fingerprints ----------------------------------------------------------
-    def _fingerprints(self, family: str, node: LogicalPlanNode,
+    def _fingerprints(self, node: LogicalPlanNode,
                       inputs: Dict[str, Table], models: ModelSuite) -> Dict[str, str]:
         schema_fp = schema_fingerprint(inputs)
         lexicon_fp = models.lexicon.fingerprint()
         return {
             "schema": schema_fp,
             "lexicon": lexicon_fp,
-            "node": node_fingerprint(family, node, schema_fp, lexicon_fp),
+            "node": node_fingerprint(node.family, node, schema_fp, lexicon_fp),
         }
 
     # -- retrieval -------------------------------------------------------------
-    def lookup(self, node: LogicalPlanNode, family: str, inputs: Dict[str, Table],
+    def lookup(self, node: LogicalPlanNode, inputs: Dict[str, Table],
                context: FunctionContext, *, models: ModelSuite, profiler: Profiler,
                critic: Critic, monitor: Optional[ExecutionMonitor] = None,
                sample_size: Optional[int] = None) -> Optional[SkillHit]:
@@ -120,7 +120,7 @@ class SkillStore:
         Every failure path returns ``None`` so the optimizer falls through to
         fresh codegen — retrieval must never surface an error.
         """
-        prints = self._fingerprints(family, node, inputs, models)
+        prints = self._fingerprints(node, inputs, models)
         record = self.retrieval.exact(prints["node"])
         if record is not None:
             hit = self._try_candidate(record, node, inputs, context, models=models,
@@ -132,7 +132,7 @@ class SkillStore:
             # The exact record was demoted by _try_candidate; fall through to
             # near-match retrieval over the remaining records.
 
-        near = self.retrieval.near(family, signature_text(family, node), models)
+        near = self.retrieval.near(node.family, signature_text(node.family, node), models)
         if near is not None:
             hit = self._try_candidate(near[0], node, inputs, context, models=models,
                                       profiler=profiler, critic=critic, monitor=monitor,
@@ -141,7 +141,7 @@ class SkillStore:
                 self._bump("near_hits")
                 # Persist the transfer under the new fingerprint so the next
                 # restart exact-hits it directly.
-                self.put(node, family, hit.function, hit.profile,
+                self.put(node, hit.function, hit.profile,
                          CriticVerdict(ok=True, checked_semantics=True),
                          models=models, inputs=inputs)
                 return hit
@@ -204,17 +204,17 @@ class SkillStore:
         return profile
 
     # -- registration ----------------------------------------------------------
-    def put(self, node: LogicalPlanNode, family: str, function: GeneratedFunction,
+    def put(self, node: LogicalPlanNode, function: GeneratedFunction,
             profile: ProfileResult, verdict: CriticVerdict, *,
             models: ModelSuite, inputs: Dict[str, Table]) -> Optional[str]:
         """Store a freshly validated implementation; returns its fingerprint."""
         if not profile.success or not verdict.ok:
             return None
-        prints = self._fingerprints(family, node, inputs, models)
+        prints = self._fingerprints(node, inputs, models)
         stats = CachedProfile()
         stats.update(profile)
         record = SkillRecord.build(
-            fingerprint=prints["node"], family=family, node=node, function=function,
+            fingerprint=prints["node"], family=node.family, node=node, function=function,
             schema_fp=prints["schema"], lexicon_fp=prints["lexicon"],
             profile=stats.to_dict(),
             verdict={"ok": verdict.ok, "checked_semantics": verdict.checked_semantics},

@@ -76,6 +76,7 @@ class TestCostModelDefaults:
         plan = LogicalPlan()
         plan.add(LogicalPlanNode(name="select_movie_columns", description="",
                                  inputs=["movies"], output="films_base",
+                                 family="select_columns",
                                  parameters={"columns": ["title"]}))
         total = CostModel(small_catalog).estimate_plan_tokens(plan)
         assert total == pytest.approx(4.0)  # 4 rows x default 1 token/row
@@ -100,7 +101,7 @@ class TestCoderFaultScoping:
         models = ModelSuite.create(seed=2)
         coder = Coder(models, fault_injection={"rank_films": FAULT_SEMANTIC_REVERSED})
         node = LogicalPlanNode(name="rank_films", description="rank", inputs=["t"],
-                               output="ranked", dependency_pattern="many_to_one",
+                               output="ranked", dependency_pattern="many_to_one", family="rank",
                                parameters={"sort_column": "score"})
         function = coder.generate(node)
         # The reversed-recency fault has no meaning for a rank node: nothing injected.

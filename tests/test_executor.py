@@ -149,7 +149,7 @@ class TestSyntacticRepair:
     def test_repair_budget_exhaustion_raises(self, corpus):
         models, catalog, lineage, registry, optimizer, engine = build_environment(corpus)
         node = LogicalPlanNode(name="rank_films", description="always fails",
-                               inputs=["movie_table"], output="out",
+                               inputs=["movie_table"], output="out", family="rank",
                                dependency_pattern="many_to_one",
                                parameters={"sort_column": "x"})
 
@@ -218,7 +218,7 @@ class TestSemanticMonitoring:
         models = ModelSuite.create(seed=1)
         monitor = ExecutionMonitor(models)
         node = LogicalPlanNode(name="join_posters", description="join posters to movies",
-                               inputs=["left"], output="joined")
+                               inputs=["left"], output="joined", family="join_images")
         inputs = {"left": Table.from_rows("left", [{"movie_id": 1}, {"movie_id": 2}])}
         output = Table.from_rows("joined", [
             {"movie_id": 1, "image_uri": "poster_a.png"},
@@ -235,14 +235,15 @@ class TestSemanticMonitoring:
     def test_monitor_disabled_reports_nothing(self, corpus):
         models = ModelSuite.create(seed=1)
         monitor = ExecutionMonitor(models, enabled=False)
-        node = LogicalPlanNode(name="x", description="", inputs=["left"], output="out")
+        node = LogicalPlanNode(name="x", description="", inputs=["left"], output="out",
+                               family="project_result")
         assert monitor.inspect(node, None, {}, Table.from_rows("out", [{"a": 1}])) == []
 
     def test_monitor_flags_empty_output(self, corpus):
         models = ModelSuite.create(seed=1)
         monitor = ExecutionMonitor(models)
         node = LogicalPlanNode(name="gen_score", description="score each row",
-                               inputs=["left"], output="out")
+                               inputs=["left"], output="out", family="semantic_score")
         from repro.fao.function import GeneratedFunction
         from repro.fao.signature import FunctionSignature
         from repro.relational.schema import Schema

@@ -12,6 +12,7 @@ from repro.interaction.channel import InteractionChannel
 from repro.interaction.user import ConsoleUser, ScriptedUser as ScriptedUserAgent, SilentUser
 from repro.optimizer.optimizer import QueryOptimizer
 from repro.optimizer.profile_cache import CachedProfile, ProfileCache
+from repro.skills.backends import FileBackend
 
 
 def make_profile(tokens=120, rows=4, success=True, runtime=0.004):
@@ -50,18 +51,12 @@ class TestProfileCache:
         assert synthetic.rows_in == 20 and synthetic.success
 
     def test_persistence_roundtrip(self, tmp_path):
-        path = tmp_path / "profiles.json"
-        cache = ProfileCache(path=path)
+        cache = ProfileCache(backend=FileBackend(tmp_path / "store"))
         cache.record("classify_image", "scene_statistics", make_profile(tokens=40))
-        cache.save()
-        reloaded = ProfileCache(path=path)
+        reloaded = ProfileCache(backend=FileBackend(tmp_path / "store"))
         assert len(reloaded) == 1
         assert ("classify_image", "scene_statistics") in reloaded
         assert reloaded.get("classify_image", "scene_statistics").tokens_per_row > 0
-
-    def test_save_without_path_raises(self):
-        with pytest.raises(ValueError):
-            ProfileCache().save()
 
     def test_describe(self):
         cache = ProfileCache()

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.datamodel.lineage import DependencyPattern
+from repro.data.workloads import FLAGSHIP_CLARIFICATION, build_default_workload
+from repro.datamodel.lineage import LineageStore
+from repro.datamodel.views import ViewPopulator
 from repro.errors import FunctionExecutionError, FunctionGenerationError
 from repro.fao.codegen import Coder, FAULT_SEMANTIC_REVERSED, FAULT_SYNTACTIC_FRAGILE
 from repro.fao.critic import Critic
@@ -11,8 +13,13 @@ from repro.fao.library import ImplementationLibrary
 from repro.fao.profiler import Profiler
 from repro.fao.registry import FunctionRegistry
 from repro.fao.signature import FunctionSignature
+from repro.interaction.channel import InteractionChannel
+from repro.interaction.user import ScriptedUser
 from repro.models.base import ModelSuite
+from repro.optimizer.rewrites import fuse_score_chain
 from repro.parser.logical_plan import LogicalPlanNode
+from repro.parser.nl_parser import NLParser
+from repro.parser.plan_generator import LogicalPlanGenerator
 from repro.relational.catalog import Catalog
 from repro.relational.table import Table
 
@@ -40,10 +47,11 @@ def films_table():
     ])
 
 
-def make_node(name, description="", inputs=None, output="out", pattern="one_to_one", **params):
+def make_node(name, family, description="", inputs=None, output="out", pattern="one_to_one",
+              **params):
     return LogicalPlanNode(name=name, description=description or name,
                            inputs=inputs or ["films_with_text_entities"], output=output,
-                           dependency_pattern=pattern, parameters=params)
+                           dependency_pattern=pattern, parameters=params, family=family)
 
 
 def make_context(models):
@@ -52,7 +60,8 @@ def make_context(models):
 
 class TestSignatureAndRegistry:
     def test_signature_from_node(self):
-        node = make_node("classify_boring", inputs=["films_with_image_scene"],
+        node = make_node("classify_boring", family="classify_image",
+                         inputs=["films_with_image_scene"],
                          output="films_with_boring_flag")
         signature = FunctionSignature.from_node(node)
         assert signature.to_dict()["inputs"] == ["films_with_image_scene"]
@@ -60,7 +69,8 @@ class TestSignatureAndRegistry:
 
     def test_registry_versioning(self, fao_models, tmp_path):
         registry = FunctionRegistry(workspace=tmp_path)
-        node = make_node("gen_excitement_score", score_column="excitement_score",
+        node = make_node("gen_excitement_score", family="semantic_score",
+                         score_column="excitement_score",
                          concept="excitement", keywords=["gun"])
         coder = Coder(fao_models)
         first = registry.register(coder.generate(node))
@@ -90,38 +100,61 @@ class TestSignatureAndRegistry:
         assert "only" in registry.describe()
 
 
+@pytest.fixture(scope="module")
+def drafted_plans(corpus):
+    """Plans of the six default shapes, a paraphrase and a novel request."""
+    models = ModelSuite.create(seed=5)
+    catalog = Catalog()
+    ViewPopulator(models, catalog, LineageStore()).load_corpus(corpus)
+    requests = {query.name: (query.nl_query, query.clarification_answers, query.corrections)
+                for query in build_default_workload().queries}
+    requests["paraphrase"] = ("Films whose plots are exciting and that were released after "
+                              "2000: list them.", {"exciting": FLAGSHIP_CLARIFICATION}, [])
+    requests["novel"] = ("List films released before 1980 whose plots are calm.", {}, [])
+    plans = {}
+    for name, (nl_query, answers, corrections) in requests.items():
+        channel = InteractionChannel(ScriptedUser(dict(answers), list(corrections)))
+        outcome = NLParser(models).parse(nl_query, channel)
+        plans[name] = LogicalPlanGenerator(models, catalog).generate(outcome.sketch,
+                                                                     outcome.intent)
+    return plans
+
+
 class TestLibraryClassification:
-    def test_families_cover_flagship_nodes(self):
+    def test_families_cover_flagship_nodes(self, drafted_plans):
+        """Every drafted node carries a family the library builds it from."""
         library = ImplementationLibrary()
-        cases = {
-            "select_movie_columns": "select_columns",
-            "join_text_entities": "join_text",
-            "join_image_scene": "join_images",
-            "join_results": "join_results",
-            "gen_recency_score": "recency_score",
-            "combine_scores": "combine_scores",
-            "rank_films": "rank",
-            "project_result": "project_result",
-        }
-        for name, family in cases.items():
-            node = make_node(name, score_column="s") if name.startswith("gen_") else make_node(name)
-            assert library.classify_node(node) == family
+        seen = set()
+        for plan in drafted_plans.values():
+            for node in plan.nodes:
+                assert library.candidates(node.family, node.name), node.name
+                seen.add(node.family)
+            # The family is bookkeeping, not part of the Figure 3 signature.
+            assert "family" not in plan.to_json()
+            fused, changed = fuse_score_chain(plan)
+            if changed:
+                fused_node = next(n for n in fused.nodes if n.family == "fused_scores")
+                for spec in fused_node.parameters["sub_specs"]:
+                    assert library.candidates(spec["family"], spec["name"])
+        assert seen == set(library.families()) - {"fused_scores"}
 
-    def test_parameter_driven_families(self):
-        library = ImplementationLibrary()
-        assert library.classify_node(make_node("gen_excitement_score", concept="excitement",
-                                               score_column="excitement_score")) == "semantic_score"
-        assert library.classify_node(make_node("filter_boring", flag_column="boring_poster")) == \
-            "flag_filter"
-        assert library.classify_node(make_node("filter_excitement_score", threshold=0.4,
-                                               score_column="excitement_score")) == "score_filter"
-        assert library.classify_node(make_node("filter_year_0", op=">", column="year",
-                                               value=2000)) == "relational_filter"
-        assert library.classify_node(make_node("fused_gen", sub_specs=[{}])) == "fused_scores"
+    def test_parameter_driven_families(self, drafted_plans):
+        """Flag and score filters share the purpose ``filter:``; the writer
+        still declares distinct families for them."""
+        boring = drafted_plans["find_boring_posters"]
+        assert boring.node("filter_boring").family == "flag_filter"
+        recent = drafted_plans["recent_exciting"]
+        assert recent.node("filter_excitement_score").family == "score_filter"
+        assert recent.node("filter_year_0").family == "relational_filter"
+        assert recent.node("gen_excitement_score").family == "semantic_score"
+        flagship = drafted_plans["flagship_exciting_boring"]
+        assert flagship.node("gen_recency_score").family == "recency_score"
 
-    def test_unknown_node_rejected(self):
-        with pytest.raises(FunctionGenerationError):
-            ImplementationLibrary().classify_node(make_node("mystery_operator"))
+    def test_unknown_node_rejected(self, fao_models):
+        """A node whose family has no templates is rejected by name."""
+        for family in ("mystery_family", ""):
+            with pytest.raises(FunctionGenerationError, match="mystery_operator"):
+                Coder(fao_models).generate(make_node("mystery_operator", family=family))
 
     def test_candidates_sorted_by_accuracy(self):
         library = ImplementationLibrary()
@@ -133,7 +166,8 @@ class TestLibraryClassification:
 
 class TestGeneratedImplementations:
     def test_semantic_score_embedding(self, fao_models, films_table):
-        node = make_node("gen_excitement_score", score_column="excitement_score",
+        node = make_node("gen_excitement_score", family="semantic_score",
+                         score_column="excitement_score",
                          concept="excitement",
                          keywords=["gun", "murder", "attack", "threat", "accused", "killed"])
         function = Coder(fao_models).generate(node, variant="embedding_similarity")
@@ -144,7 +178,8 @@ class TestGeneratedImplementations:
         assert all(0.0 <= score <= 1.0 for score in scores.values())
 
     def test_semantic_score_keyword_variant_is_cheaper(self, fao_models, films_table):
-        node = make_node("gen_excitement_score", score_column="excitement_score",
+        node = make_node("gen_excitement_score", family="semantic_score",
+                         score_column="excitement_score",
                          concept="excitement", keywords=["accused", "threat"])
         coder = Coder(fao_models)
         cheap = coder.generate(node, variant="keyword_overlap")
@@ -153,7 +188,8 @@ class TestGeneratedImplementations:
         assert cheap.accuracy_prior < expensive.accuracy_prior
 
     def test_recency_score_normalization(self, fao_models, films_table):
-        node = make_node("gen_recency_score", score_column="recency_score", year_column="year")
+        node = make_node("gen_recency_score", family="recency_score",
+                         score_column="recency_score", year_column="year")
         function = Coder(fao_models).generate(node)
         output = function.execute({"films_with_text_entities": films_table},
                                   make_context(fao_models))
@@ -164,7 +200,8 @@ class TestGeneratedImplementations:
     def test_combine_scores_weighted_sum(self, fao_models):
         table = Table.from_rows("scores", [
             {"movie_id": 1, "excitement_score": 1.0, "recency_score": 0.5}])
-        node = make_node("combine_scores", inputs=["scores"], output="combined",
+        node = make_node("combine_scores", family="combine_scores",
+                         inputs=["scores"], output="combined",
                          weights={"excitement_score": 0.7, "recency_score": 0.3},
                          output_column="final_score", input_columns=["excitement_score",
                                                                      "recency_score"])
@@ -174,14 +211,16 @@ class TestGeneratedImplementations:
 
     def test_combine_scores_defaults_to_score_columns(self, fao_models):
         table = Table.from_rows("scores", [{"a_score": 0.4, "b_score": 0.6}])
-        node = make_node("combine_scores", inputs=["scores"], output="combined",
+        node = make_node("combine_scores", family="combine_scores",
+                         inputs=["scores"], output="combined",
                          output_column="final_score")
         output = Coder(fao_models).generate(node).execute({"scores": table},
                                                           make_context(fao_models))
         assert output[0]["final_score"] == pytest.approx(0.5)
 
     def test_classify_boring_scene_statistics(self, fao_models, films_table):
-        node = make_node("classify_boring", inputs=["films_with_text_entities"],
+        node = make_node("classify_boring", family="classify_image",
+                         inputs=["films_with_text_entities"],
                          output="flagged", flag_column="boring_poster", concept="boring_visual")
         function = Coder(fao_models).generate(node, variant="scene_statistics")
         output = function.execute({"films_with_text_entities": films_table},
@@ -195,31 +234,35 @@ class TestGeneratedImplementations:
         flagged = Table.from_rows("flagged", [
             {"movie_id": 1, "boring_poster": True}, {"movie_id": 3, "boring_poster": False}])
         keep = Coder(fao_models).generate(
-            make_node("filter_boring", inputs=["flagged"], output="kept",
+            make_node("filter_boring", family="flag_filter", inputs=["flagged"], output="kept",
                       flag_column="boring_poster", keep_if_true=True))
         assert [r["movie_id"] for r in keep.execute({"flagged": flagged}, context)] == [1]
 
         scored = Table.from_rows("scored", [{"movie_id": 1, "excitement_score": 0.9},
                                             {"movie_id": 2, "excitement_score": 0.1}])
         threshold = Coder(fao_models).generate(
-            make_node("filter_excitement_score", inputs=["scored"], output="kept2",
+            make_node("filter_excitement_score", family="score_filter",
+                      inputs=["scored"], output="kept2",
                       score_column="excitement_score", threshold=0.4))
         assert len(threshold.execute({"scored": scored}, context)) == 1
 
         relational = Coder(fao_models).generate(
-            make_node("filter_year_0", inputs=["films_with_text_entities"], output="kept3",
+            make_node("filter_year_0", family="relational_filter",
+                      inputs=["films_with_text_entities"], output="kept3",
                       column="year", op=">", value=1990))
         assert len(relational.execute({"films_with_text_entities": films_table}, context)) == 2
 
     def test_relational_filter_unknown_operator(self, fao_models):
         with pytest.raises(FunctionGenerationError):
             Coder(fao_models).generate(
-                make_node("filter_year_0", column="year", op="~", value=1))
+                make_node("filter_year_0", family="relational_filter",
+                          column="year", op="~", value=1))
 
     def test_join_results_drops_right_duplicates(self, fao_models):
         left = Table.from_rows("left_t", [{"movie_id": 1, "title": "A", "final_score": 0.9}])
         right = Table.from_rows("right_t", [{"movie_id": 1, "title": "A", "boring_poster": True}])
-        node = make_node("join_results", inputs=["left_t", "right_t"], output="joined",
+        node = make_node("join_results", family="join_results",
+                         inputs=["left_t", "right_t"], output="joined",
                          join_key="movie_id", pattern="many_to_many")
         output = Coder(fao_models).generate(node).execute({"left_t": left, "right_t": right},
                                                           make_context(fao_models))
@@ -228,13 +271,14 @@ class TestGeneratedImplementations:
 
     def test_rank_falls_back_to_score_column(self, fao_models):
         table = Table.from_rows("t", [{"a_score": 0.2}, {"a_score": 0.9}])
-        node = make_node("rank_films", inputs=["t"], output="ranked",
+        node = make_node("rank_films", family="rank", inputs=["t"], output="ranked",
                          sort_column="missing_column", descending=True, pattern="many_to_one")
         output = Coder(fao_models).generate(node).execute({"t": table}, make_context(fao_models))
         assert output[0]["a_score"] == 0.9
 
     def test_missing_input_raises_execution_error(self, fao_models):
-        node = make_node("select_movie_columns", inputs=["movie_table"], output="films_base",
+        node = make_node("select_movie_columns", family="select_columns",
+                         inputs=["movie_table"], output="films_base",
                          columns=["movie_id"])
         function = Coder(fao_models).generate(node)
         with pytest.raises(FunctionExecutionError):
@@ -244,7 +288,8 @@ class TestGeneratedImplementations:
 class TestCoderFaultsAndRepair:
     def test_semantic_fault_injection_and_repair(self, fao_models, films_table):
         coder = Coder(fao_models, fault_injection={"gen_recency_score": FAULT_SEMANTIC_REVERSED})
-        node = make_node("gen_recency_score", score_column="recency_score", year_column="year")
+        node = make_node("gen_recency_score", family="recency_score",
+                         score_column="recency_score", year_column="year")
         buggy = coder.generate(node)
         output = buggy.execute({"films_with_text_entities": films_table},
                                make_context(fao_models))
@@ -260,7 +305,8 @@ class TestCoderFaultsAndRepair:
         heic = films_table.copy()
         heic.rows[0]["image_uri"] = "poster.heic"
         coder = Coder(fao_models, fault_injection={"classify_boring": FAULT_SYNTACTIC_FRAGILE})
-        node = make_node("classify_boring", inputs=["films_with_text_entities"], output="flagged",
+        node = make_node("classify_boring", family="classify_image",
+                         inputs=["films_with_text_entities"], output="flagged",
                          flag_column="boring_poster", concept="boring_visual")
         fragile = coder.generate(node, variant="scene_statistics")
         with pytest.raises(FunctionExecutionError):
@@ -271,18 +317,20 @@ class TestCoderFaultsAndRepair:
 
     def test_unknown_variant_rejected(self, fao_models):
         with pytest.raises(FunctionGenerationError):
-            Coder(fao_models).generate(make_node("rank_films", pattern="many_to_one"),
+            Coder(fao_models).generate(make_node("rank_films", family="rank",
+                                                 pattern="many_to_one"),
                                        variant="quantum_sort")
 
     def test_generation_charges_tokens(self, fao_models):
         before = fao_models.cost_meter.total_tokens
-        Coder(fao_models).generate(make_node("rank_films", pattern="many_to_one"))
+        Coder(fao_models).generate(make_node("rank_films", family="rank", pattern="many_to_one"))
         assert fao_models.cost_meter.total_tokens > before
 
 
 class TestProfilerAndCritic:
     def test_profiler_success(self, fao_models, films_table):
-        node = make_node("gen_recency_score", score_column="recency_score", year_column="year")
+        node = make_node("gen_recency_score", family="recency_score",
+                         score_column="recency_score", year_column="year")
         function = Coder(fao_models).generate(node)
         profile = Profiler(fao_models, sample_size=2).profile(
             function, {"films_with_text_entities": films_table}, make_context(fao_models))
@@ -296,7 +344,8 @@ class TestProfilerAndCritic:
         heic = films_table.copy()
         for row in heic.rows:
             row["image_uri"] = "x.heic"
-        node = make_node("classify_boring", inputs=["films_with_text_entities"], output="flagged",
+        node = make_node("classify_boring", family="classify_image",
+                         inputs=["films_with_text_entities"], output="flagged",
                          flag_column="boring_poster", concept="boring_visual")
         profile = Profiler(fao_models).profile(
             coder.generate(node, variant="scene_statistics"),
@@ -305,7 +354,8 @@ class TestProfilerAndCritic:
         assert "unsupported image format" in profile.error
 
     def test_critic_accepts_good_function(self, fao_models, films_table):
-        node = make_node("gen_recency_score", score_column="recency_score", year_column="year")
+        node = make_node("gen_recency_score", family="recency_score",
+                         score_column="recency_score", year_column="year")
         function = Coder(fao_models).generate(node)
         profile = Profiler(fao_models).profile(function, {"films_with_text_entities": films_table},
                                                make_context(fao_models))
@@ -314,7 +364,7 @@ class TestProfilerAndCritic:
 
     def test_critic_repairs_reversed_recency(self, fao_models, films_table):
         coder = Coder(fao_models, fault_injection={"gen_recency_score": FAULT_SEMANTIC_REVERSED})
-        node = make_node("gen_recency_score",
+        node = make_node("gen_recency_score", family="recency_score",
                          description="Assign a recency score based on release year",
                          score_column="recency_score", year_column="year")
         registry = FunctionRegistry()

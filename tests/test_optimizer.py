@@ -51,7 +51,8 @@ class TestCostModel:
         model = CostModel(catalog)
         node = LogicalPlanNode(name="filter_year_0", description="", inputs=["movie_table"],
                                output="filtered", parameters={"op": ">", "column": "year",
-                                                              "value": 2000})
+                                                              "value": 2000},
+                               family="relational_filter")
         rows = model.estimate_output_cardinality(node, 20)
         assert 1 <= rows < 20
         assert model.table_cardinality("filtered") == 0  # not recorded until estimate()

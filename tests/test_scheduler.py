@@ -328,6 +328,22 @@ class TestLifecycle:
             sched.submit(lambda task: None, tenant="t")
         assert late.value.reason == "shutdown"
 
+    def test_drained_tenant_queues_are_dropped(self, corpus):
+        """Each request's default tenant is its own fresh session name, so a
+        queue kept after it drains would grow with the request count."""
+        svc = fresh_service(corpus)
+        try:
+            for _ in range(100):
+                assert svc.query(RECENT_QUERY).ok
+            batch = svc.query_batch([QueryRequest(nl_query=RECENT_QUERY)
+                                     for _ in range(100)], jobs=4)
+            assert all(response.ok for response in batch)
+            boards = svc.scheduler.boards.values()
+            assert all(not board.queues and not board.active for board in boards)
+            assert svc.scheduler_stats()["tenants"] == {}
+        finally:
+            svc.shutdown()
+
     def test_run_inline_and_in_worker(self):
         sched = FairShareScheduler(workers=1)
         try:

@@ -12,8 +12,9 @@ from repro.api.request import QueryRequest
 from repro.api.service import KathDBService
 from repro.core.config import KathDBConfig
 from repro.data.mmqa import build_movie_corpus
+from repro.data.workloads import build_default_workload
 from repro.errors import KathDBError
-from repro.interaction.user import SilentUser
+from repro.interaction.user import ScriptedUser, SilentUser
 from repro.sharding import HashRing, ShardedService, split_corpus
 
 CORPUS_SIZE = 10
@@ -195,6 +196,28 @@ class TestScatterQueries:
         responses = sharded.query_batch(requests)
         assert [r.ok for r in responses] == [True, True]
 
+
+    def test_merge_keeps_single_service_order(self):
+        """The merge re-sorts a ranking only: on this corpus the filter answer
+        of ``recent_exciting`` has a score column that happens to be
+        non-increasing in both shards, and it must still keep the single
+        service's (document) order."""
+        corpus = build_movie_corpus(size=200, seed=107237697000)
+        config = KathDBConfig(seed=1072376970)
+        shapes = {query.name: query for query in build_default_workload().queries}
+        with KathDBService(config) as single, \
+                ShardedService(config, shards=2, placement="partition") as sharded:
+            single.load_corpus(corpus)
+            sharded.load_corpus(corpus)
+            for name in ("recent_exciting", "rank_all_by_excitement"):
+                shape = shapes[name]
+                orders = []
+                for service in (single, sharded):
+                    response = service.query(shape.nl_query,
+                                             user=ScriptedUser(shape.clarification_answers))
+                    assert response.ok, response.error
+                    orders.append(response.result.final_table.column_values("movie_id"))
+                assert orders[1] == orders[0], name
 
     def test_partition_batch_concurrent_matches_serial(self, sharded):
         queries = [self.QUERY, "Which films have a boring poster?"] * 2

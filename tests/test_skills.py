@@ -125,17 +125,6 @@ class TestAtomicWrite:
         assert path.exists()
         assert list(tmp_path.glob(".*.tmp")) == []
 
-    def test_profile_cache_save_is_atomic(self, tmp_path):
-        cache = ProfileCache(path=tmp_path / "profiles.json")
-        cache.record("semantic_map", "flagship",
-                     ProfileResult(function_name="f", variant="flagship",
-                                   success=True, runtime_s=0.1, tokens_used=50,
-                                   rows_in=5, rows_out=5))
-        cache.save()
-        assert list(tmp_path.glob(".*.tmp")) == []
-        reloaded = ProfileCache(path=tmp_path / "profiles.json")
-        assert reloaded.get("semantic_map", "flagship") is not None
-
 
 # -- persistence backends --------------------------------------------------------------
 
@@ -307,8 +296,6 @@ class TestSkillStore:
         reloaded = ProfileCache(backend=FileBackend(tmp_path / "store"))
         entry = reloaded.get("semantic_map", "flagship")
         assert entry is not None and entry.tokens_per_row == pytest.approx(10.0)
-        # save() without a path falls back to the backend location.
-        assert cache.save() == backend.location
 
 
 # -- configuration and CLI -------------------------------------------------------------

@@ -40,10 +40,10 @@ def match_fraction_many(suite, query_terms, candidate_lists):
                             for candidates in candidate_lists])
 
 
-def make_node(name, inputs, output, **params):
+def make_node(name, family, inputs, output, **params):
     return LogicalPlanNode(name=name, description=name, inputs=inputs,
                            output=output, dependency_pattern="one_to_one",
-                           parameters=params)
+                           parameters=params, family=family)
 
 
 @pytest.fixture(scope="module")
@@ -107,7 +107,8 @@ class TestBodyEquivalence:
 
     def test_embedding_match_density(self, vec_catalog):
         models = ModelSuite.create(seed=7)
-        node = make_node("gen_excitement_score", ["films_with_text_entities"],
+        node = make_node("gen_excitement_score", "semantic_score",
+                         ["films_with_text_entities"],
                          "scored", keywords=KEYWORDS, concept="excitement",
                          score_column="excitement_score")
         serial = run_variant("embedding_similarity", 0, models, vec_catalog,
@@ -119,7 +120,7 @@ class TestBodyEquivalence:
 
     def test_vlm_classify(self, vec_tables, vec_catalog):
         models = ModelSuite.create(seed=7)
-        node = make_node("classify_boring", ["films_with_image_scene"],
+        node = make_node("classify_boring", "classify_image", ["films_with_image_scene"],
                          "flagged", flag_column="boring_poster",
                          concept="boring_visual")
         films = films_for_classify(vec_tables)
@@ -131,7 +132,7 @@ class TestBodyEquivalence:
 
     def test_cascade(self, vec_tables, vec_catalog):
         models = ModelSuite.create(seed=7)
-        node = make_node("classify_boring", ["films_with_image_scene"],
+        node = make_node("classify_boring", "classify_image", ["films_with_image_scene"],
                          "flagged", flag_column="boring_poster",
                          concept="boring_visual")
         films = films_for_classify(vec_tables)
@@ -153,7 +154,7 @@ class TestBodyEquivalence:
         variant's score, trusted by its distance from 0.5, then a raw VLM
         visual question (posterless rows keep the cheap answer).
         """
-        node = make_node("classify_boring", ["films_with_image_scene"],
+        node = make_node("classify_boring", "classify_image", ["films_with_image_scene"],
                          "flagged", flag_column="boring_poster",
                          concept="boring_visual")
         films = films_for_classify(vec_tables)
@@ -200,7 +201,8 @@ class TestBodyEquivalence:
         models = ModelSuite.create(seed=7)
         gateway = ModelGateway(GatewayConfig())
         routed = models.fork().routed(gateway, "s1")
-        node = make_node("gen_excitement_score", ["films_with_text_entities"],
+        node = make_node("gen_excitement_score", "semantic_score",
+                         ["films_with_text_entities"],
                          "scored", keywords=KEYWORDS, concept="excitement",
                          score_column="excitement_score")
         serial = run_variant("embedding_similarity", 0, models, vec_catalog,
