@@ -84,7 +84,7 @@ class KathDBService(RequestFrontend):
                                          source_sink=source_sink)
         # The model gateway fronts all foundation-model traffic from service
         # sessions (and corpus population): shared exact/semantic caching,
-        # in-flight coalescing, micro-batching, and admission control.
+        # in-flight coalescing, batching, and admission control.
         self.gateway_store = self._build_gateway_store()
         self.gateway = ModelGateway(self.config.gateway_config(),
                                     metrics=self.metrics, store=self.gateway_store)

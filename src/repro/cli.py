@@ -105,10 +105,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--skill-stats", action="store_true",
                         help="print the skill store's hit/miss/revalidation "
                              "counters after the run (forces service mode)")
-    parser.add_argument("--batch-window", type=float, default=None, metavar="SECONDS",
-                        help="micro-batch collection window for the batchable model "
-                             "kinds (forces service mode; default: auto — a few ms "
-                             "only when model latency is simulated)")
     parser.add_argument("--simulate-latency", type=float, default=0.0, metavar="SCALE",
                         help="sleep each model call's synthetic latency times SCALE "
                              "(makes batch throughput numbers honest; default: 0)")
@@ -307,7 +303,6 @@ def run_batch(args: argparse.Namespace, query: str, output) -> int:
                           enable_model_cache=not args.no_model_cache,
                           service_max_workers=max(1, args.jobs),
                           simulate_model_latency=max(0.0, args.simulate_latency),
-                          gateway_batch_window_s=args.batch_window,
                           slow_query_ms=args.slow_query_ms,
                           **semantic_overrides, **skill_overrides,
                           **gateway_cache_overrides)
@@ -467,7 +462,6 @@ def run(args: argparse.Namespace, output=None) -> int:
     # keeps its direct, un-routed accounting), so they force batch mode.
     service_mode = (args.jobs > 1 or args.repeat > 1
                     or bool(args.gateway_stats) or args.no_model_cache
-                    or args.batch_window is not None
                     or args.semantic_cache is not None
                     or args.skill_store is not None or args.skill_stats
                     or args.gateway_cache is not None or args.shards > 1
@@ -479,7 +473,7 @@ def run(args: argparse.Namespace, output=None) -> int:
         if args.interactive:
             print("error: --interactive cannot be combined with service mode "
                   "(--jobs/--repeat/--gateway-stats/--no-model-cache/"
-                  "--batch-window/--semantic-cache/--skill-store/--skill-stats/"
+                  "--semantic-cache/--skill-store/--skill-stats/"
                   "--trace/--trace-out/--metrics/--slow-query-ms)",
                   file=output)
             return 2

@@ -94,11 +94,10 @@ class KathDBConfig:
     gateway_cache_path: Optional[Union[str, Path]] = None
     # In-flight coalescing of identical concurrent calls.
     enable_request_coalescing: bool = True
-    # Micro-batching of batchable kinds (embeddings, NER, detector).  A None
-    # window auto-selects: a few ms when model latency is simulated (there is
-    # wall-clock to amortize), zero (pure pass-through batching) otherwise.
+    # Batching: a chunk of two or more misses from one caller's vector runs
+    # as one batched invocation at the sub-linear price; off, every miss
+    # runs as its own metered call.
     enable_micro_batching: bool = True
-    gateway_batch_window_s: Optional[float] = None
     # Semantic near-match tier for embeddings-backed predicates, at
     # SEMANTIC_SIMILARITY_THRESHOLD.  On by default since the ANN graduation;
     # disable for bit-identical-to-uncached runs.
@@ -154,8 +153,6 @@ class KathDBConfig:
             raise KathDBError(
                 f"gateway_cache_backend {self.gateway_cache_backend!r} "
                 "requires gateway_cache_path")
-        if self.gateway_batch_window_s is not None and self.gateway_batch_window_s < 0:
-            raise KathDBError("gateway_batch_window_s must be non-negative")
         if not 1 <= self.semantic_ann_planes <= 64:
             raise KathDBError("semantic_ann_planes must be in [1, 64]")
         if self.semantic_ann_probes < 0:
@@ -181,15 +178,11 @@ class KathDBConfig:
     def gateway_config(self):
         """The :class:`~repro.gateway.gateway.GatewayConfig` these knobs imply."""
         from repro.gateway.gateway import GatewayConfig
-        window = self.gateway_batch_window_s
-        if window is None:
-            window = 0.004 if self.simulate_model_latency > 0 else 0.0
         return GatewayConfig(
             enable_cache=self.enable_model_cache,
             cache_entries=self.gateway_cache_entries,
             enable_coalescing=self.enable_request_coalescing,
             enable_batching=self.enable_micro_batching,
-            batch_window_s=window,
             enable_semantic=self.enable_semantic_cache,
             semantic_threshold=SEMANTIC_SIMILARITY_THRESHOLD,
             semantic_planes=self.semantic_ann_planes,

@@ -33,7 +33,7 @@ class ExecutionRecord:
     # Model-gateway activity while this operator ran (0 when no gateway
     # routes the executing suite): calls answered without executing a model,
     # the tokens those answers would have cost, and the discount
-    # micro-batched misses received off their serial price.
+    # batched misses received off their serial price.
     gateway_hits: int = 0
     gateway_tokens_saved: int = 0
     gateway_batch_tokens_saved: int = 0

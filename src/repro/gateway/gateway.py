@@ -11,8 +11,8 @@ simulated model suite, cheapest first:
    embeddings-backed predicates (:mod:`repro.gateway.semantic`);
 3. **coalescing** — identical requests *currently executing* share one
    execution (:mod:`repro.gateway.coalesce`);
-4. **admission + micro-batching** — misses take a global concurrency slot,
-   batchable kinds in admission-slot-sized groups
+4. **admission + batching** — each chunk of misses takes a global
+   concurrency slot; a chunk of two or more runs as one batched invocation
    (:mod:`repro.gateway.admission`, :mod:`repro.gateway.batching`).
 
 The stack is written once, in the funnel
@@ -28,7 +28,7 @@ Its :meth:`~SessionGatewayClient.invoke_many` is where a routed suite's
 Token accounting is strictly *pay-for-your-misses*: an executing call
 charges the executing session's own cost meter (the models already do this);
 hits, near-hits, and coalesced followers charge nobody and are tallied as
-``tokens_saved``.  Micro-batched misses pay a *discounted* price — each
+``tokens_saved``.  Batched misses pay a *discounted* price — each
 member's fair share of one batched invocation (shared setup overhead + its
 marginal content) instead of the full serial cost — and the discount is
 tallied as ``batch_tokens_saved``.
@@ -65,7 +65,6 @@ class GatewayConfig:
     cache_token_budget: Optional[int] = None
     enable_coalescing: bool = True
     enable_batching: bool = True
-    batch_window_s: float = 0.0
     max_batch: int = 32
     enable_semantic: bool = False
     semantic_threshold: float = 0.97
@@ -94,12 +93,12 @@ class SessionCounters:
     semantic_hits: int = 0
     tokens_saved: int = 0
     tokens_charged: int = 0
-    # Tokens micro-batching discounted off this session's own misses (the
+    # Tokens batching discounted off this session's own misses (the
     # serial price minus the batched share it actually paid).
     batch_tokens_saved: int = 0
     # Batched invocations this session issued itself: one per executed
-    # chunk of a multi-call vector.  One-call misses, which go through the
-    # micro-batch window, are not counted here.
+    # chunk of a multi-call vector.  One-call vectors (serial calls) are
+    # not counted here.
     batch_calls: int = 0
     # Sizes of those batched invocations, in issue order.  Not part of
     # _KEYS (lists don't delta); the engine snapshots the length instead.
@@ -141,20 +140,16 @@ class SessionGatewayClient:
 
     def invoke(self, model: Any, method: str, args: Tuple[Any, ...],
                kwargs: Optional[Dict[str, Any]] = None, *,
-               batchable: bool = False,
                semantic_terms_of: Optional[Callable[..., Any]] = None) -> Any:
         return self.gateway.invoke(self, model, method, args, kwargs or {},
-                                   batchable=batchable,
                                    semantic_terms_of=semantic_terms_of)
 
     def invoke_many(self, model: Any, method: str,
                     calls: Sequence[Tuple[Tuple[Any, ...], Dict[str, Any]]], *,
-                    batchable: bool = True,
                     semantic_terms_of: Optional[Callable[..., Any]] = None
                     ) -> List[Any]:
         """A vector of calls through the funnel (:class:`GatewayBatchClient`)."""
         return GatewayBatchClient(self).invoke(model, method, calls,
-                                               batchable=batchable,
                                                semantic_terms_of=semantic_terms_of)
 
     def spent(self) -> int:
@@ -181,7 +176,7 @@ class SessionGatewayClient:
 
 
 class ModelGateway:
-    """Shared semantic cache + coalescing + micro-batching + admission."""
+    """Shared semantic cache + coalescing + batching + admission."""
 
     def __init__(self, config: Optional[GatewayConfig] = None,
                  metrics: Optional[MetricsRegistry] = None,
@@ -207,7 +202,6 @@ class ModelGateway:
             max_concurrency=self.config.max_concurrency,
             session_token_quota=self.config.session_token_quota)
         self.batcher = MicroBatcher(self.admission,
-                                    window_s=self.config.batch_window_s,
                                     max_batch=self.config.max_batch)
         self.semantic = SemanticNearCache(threshold=self.config.semantic_threshold,
                                           capacity=self.config.semantic_entries,
@@ -285,7 +279,6 @@ class ModelGateway:
     # -- the funnel -----------------------------------------------------------------
     def invoke(self, client: SessionGatewayClient, model: Any, method: str,
                args: Tuple[Any, ...], kwargs: Dict[str, Any], *,
-               batchable: bool = False,
                semantic_terms_of: Optional[Callable[..., Any]] = None) -> Any:
         """Answer one model call: a one-call vector through the funnel.
 
@@ -296,12 +289,11 @@ class ModelGateway:
         The funnel (:meth:`GatewayBatchClient.invoke`) records one
         ``model``-kind span for the call on the *calling* session's active
         trace, tagged with the tier that answered it — exact-hit /
-        semantic-hit / coalesced-follower / batched-chunk / executed — so
-        shared work (a coalesced execution, a micro-batch) shows up in every
-        participating session's trace.
+        semantic-hit / coalesced-follower / batched-chunk / executed — so a
+        coalesced execution shows up in every participating session's trace.
         """
         return GatewayBatchClient(client).invoke(
-            model, method, [(args, kwargs)], batchable=batchable,
+            model, method, [(args, kwargs)],
             semantic_terms_of=semantic_terms_of)[0]
 
     # -- observability --------------------------------------------------------------

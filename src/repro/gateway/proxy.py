@@ -37,7 +37,6 @@ class GatewayModelProxy:
         def routed(*args: Any, **kwargs: Any) -> Any:
             call_args, call_kwargs = spec.build(model, args, kwargs)
             return client.invoke(model, name, call_args, call_kwargs,
-                                 batchable=spec.batchable,
                                  semantic_terms_of=spec.semantic_terms)
 
         return routed

@@ -23,11 +23,11 @@ tier first:
    ``max_batch`` members each, through the one executor
    :meth:`repro.gateway.batching.MicroBatcher.execute` (one admission slot
    per chunk, in-batch dedup, sub-linear price ``max(setup) +
-   sum(marginal)``).  A vector of one call keeps the serial call's route,
-   which its method's ``batchable`` flag picks: a batchable call goes
-   through the micro-batcher's window, where it can share an invocation
-   with other sessions; any other is one metered call under an admission
-   slot.  With batching off every miss takes that last route.
+   sum(marginal)``).  A chunk's size picks its route: one member runs as
+   a metered serial call under an admission slot
+   (:meth:`~repro.gateway.batching.MicroBatcher.submit`), two or more as
+   one batched invocation.  With batching off a vector is a serial loop of
+   one-call vectors, so every miss takes the one-member route.
 
 Every executed member is written back to the exact and semantic tiers and
 published to its coalesced followers.  Hits are free and tallied as
@@ -42,7 +42,6 @@ import copy
 from collections import OrderedDict
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.gateway.batching import metered_outcome
 from repro.gateway.fingerprint import (
     canonicalize,
     contains_uri,
@@ -82,7 +81,6 @@ class GatewayBatchClient:
         self._client = client
 
     def invoke(self, model: Any, method: str, calls: Sequence[BatchCall], *,
-               batchable: bool = True,
                semantic_terms_of: Optional[Callable[..., Any]] = None
                ) -> List[Any]:
         """Answer a homogeneous vector of calls on one (un-routed) model.
@@ -91,9 +89,6 @@ class GatewayBatchClient:
         order.  Every member of an executing chunk runs and every member
         that succeeds is billed; then the first member error is raised.
         (A serial loop would instead stop at the first failure.)
-
-        ``batchable`` only routes a one-call vector (see the module
-        docstring); two or more calls batch whenever batching is on.
 
         ``semantic_terms_of(args, kwargs)`` marks calls eligible for the
         semantic near-match tier: when the tier is enabled, every
@@ -107,11 +102,10 @@ class GatewayBatchClient:
         client = self._client
         gateway = client.gateway
         cfg = gateway.config
-        batched = cfg.enable_batching and (batchable or len(calls) > 1)
-        if len(calls) > 1 and not batched:
+        if len(calls) > 1 and not cfg.enable_batching:
             # Unbatched, a vector is a serial loop: each call sees what the
             # calls before it wrote to the exact and semantic tiers.
-            return [self.invoke(model, method, [call], batchable=batchable,
+            return [self.invoke(model, method, [call],
                                 semantic_terms_of=semantic_terms_of)[0]
                     for call in calls]
         semantic_active = (cfg.enable_semantic and cfg.enable_cache
@@ -231,16 +225,12 @@ class GatewayBatchClient:
             if not executing:
                 continue
             # One ``model`` span per executed chunk, on this session's own
-            # trace — micro-batch membership is caller-side, so every
-            # participating session records the chunk it waited on.
+            # trace.
             with obs_span(call_kind, kind="model", model=model_name,
                           method=method) as chunk_sp:
                 members = [miss.member for miss in executing]
                 try:
-                    if not batched:
-                        with gateway.admission.slot():
-                            outcomes = [metered_outcome(members[0])]
-                    elif len(calls) == 1:
+                    if len(members) == 1:
                         outcomes = [gateway.batcher.submit(call_kind, members[0]).result()]
                     else:
                         outcomes = gateway.batcher.execute(call_kind, members)
@@ -249,7 +239,7 @@ class GatewayBatchClient:
                         gateway.coalescer.fail(slot, error)
                     raise
                 self._publish(executing, outcomes, led_slots, results, chunk_sp,
-                              batched=batched, own_chunk=len(calls) > 1)
+                              own_chunk=len(calls) > 1)
 
         # Collect members another caller computed while this vector ran.
         # Each wait is its own ``model`` span on *this* session's trace, so
@@ -268,7 +258,7 @@ class GatewayBatchClient:
 
     def _publish(self, executing: List[_Miss], outcomes: List[MemberOutcome],
                  led_slots: Dict[Any, Any], results: List[Any], chunk_sp: Any, *,
-                 batched: bool, own_chunk: bool) -> None:
+                 own_chunk: bool) -> None:
         """Bill one executed chunk and publish every member's outcome.
 
         Results go to the caller, representatives to the exact and semantic
@@ -295,11 +285,11 @@ class GatewayBatchClient:
                     counters.batch_tokens_saved += saved
                     gateway.note_event("batch_saved", 0, saved, client.session_id)
                     chunk_sp.tag(batch_tokens_saved=saved)
-                chunk_sp.tag(outcome="batched-chunk" if batched else "executed",
-                             tokens=charged)
+                chunk_sp.tag(outcome="batched-chunk" if len(outcomes) > 1
+                             else "executed", tokens=charged)
                 if own_chunk:
-                    # A chunk this session issued itself (one-call misses
-                    # may have shared someone else's window instead).
+                    # A chunk of a multi-call vector; a one-call vector is
+                    # the serial call and is not counted as a batch call.
                     counters.batch_calls += 1
                     counters.batch_sizes.append(len(alive))
                     if len(counters.batch_sizes) > self.MAX_RECORDED_SIZES:

@@ -113,8 +113,8 @@ class ModelSuite:
                tenant_id: Optional[str] = None) -> "ModelSuite":
         """A view of this suite whose declared calls go through a shared
         gateway (see :meth:`repro.gateway.gateway.ModelGateway.route`), so
-        identical requests from concurrent sessions are cached, coalesced,
-        and micro-batched service-wide.  ``tenant_id`` keys the gateway
+        identical requests from concurrent sessions are cached and
+        coalesced service-wide.  ``tenant_id`` keys the gateway
         quota ledger (default: the session id).
         """
         return gateway.route(self, session_id, tenant_id=tenant_id)
@@ -127,9 +127,8 @@ class ModelSuite:
         equal serial call's request key.  The calls go out ``batch_size`` at
         a time (default: all at once); a batch of one is priced exactly as
         the serial call.  A routed suite answers each batch through the
-        gateway funnel, which sends a one-call batch down the serial call's
-        own route (``spec.batchable``); a direct suite runs it as one batched
-        invocation on the model's own meter.  Either way every member of a
+        gateway funnel, where a one-call batch is the serial call; a direct
+        suite runs it as one batched invocation on the model's own meter.  Either way every member of a
         batch executes and is billed before its first member error is raised.
         """
         model = getattr(self, kind)
@@ -145,7 +144,6 @@ class ModelSuite:
             results.extend(
                 run_model_batch(model, method, batch) if client is None else
                 client.invoke_many(model, method, batch,
-                                   batchable=spec.batchable,
                                    semantic_terms_of=spec.semantic_terms))
         return results
 

@@ -1,4 +1,4 @@
-"""True batched execution for the batchable simulated models.
+"""True batched execution for the simulated models.
 
 A real serving stack answers many same-kind requests in one invocation: the
 prompt preamble (instructions, few-shot examples, request framing) is paid
@@ -15,13 +15,13 @@ the simulated models without touching their serial semantics:
   members, where ``setup`` is the model's ``BATCH_OVERHEAD_TOKENS`` share of
   each serial price — the sub-linear formula the ROADMAP asks for;
 * the total is split back across members proportionally to their serial
-  price, so every session still pays its fair share.
+  price, so every member still pays its fair share.
 
 :func:`run_model_batch` is the direct (single-meter) executor behind
 :meth:`repro.models.base.ModelSuite.call_many` on an un-routed suite; the
 gateway's one executor (:meth:`repro.gateway.batching.MicroBatcher.execute`)
 uses :func:`plan_batch` itself.  Both bill through :func:`record_shares`:
-one summed share per member cost meter.
+one summed share on the batch's one cost meter.
 """
 
 from __future__ import annotations
@@ -219,23 +219,28 @@ def plan_batch(members: Sequence[BatchMember]) -> BatchPlan:
 
 
 def record_shares(members: Sequence[BatchMember], plan: BatchPlan) -> None:
-    """Charge each cost meter in a batch its members' summed shares, as one
-    :class:`~repro.models.cost.BatchedModelCall` per meter."""
-    by_meter: Dict[int, List[Tuple[BatchMember, MemberOutcome]]] = {}
-    for member, outcome in zip(members, plan.outcomes):
-        meter = getattr(member.model, "cost_meter", None)
-        if outcome.error is None and meter is not None:
-            by_meter.setdefault(id(meter), []).append((member, outcome))
-    for group in by_meter.values():
-        first = group[0][0]
-        first.model.cost_meter.record_batched(
-            getattr(first.model, "name", type(first.model).__name__),
-            first.purpose,
-            sum(outcome.charge_prompt for _, outcome in group),
-            sum(outcome.charge_completion for _, outcome in group),
-            batch_size=plan.size, members=len(group),
-            serial_tokens=sum(outcome.serial_tokens for _, outcome in group),
-            latency_s=sum(outcome.latency_share_s for _, outcome in group))
+    """Charge a batch's live members' summed shares to their one model's
+    cost meter, as one :class:`~repro.models.cost.BatchedModelCall`.
+
+    Every batch comes from one caller's model (:func:`run_model_batch` and
+    the gateway funnel each take a single model), so it has one meter.
+    """
+    alive = [(member, outcome) for member, outcome in zip(members, plan.outcomes)
+             if outcome.error is None]
+    if not alive:
+        return
+    first = alive[0][0]
+    meter = getattr(first.model, "cost_meter", None)
+    if meter is None:
+        return
+    meter.record_batched(
+        getattr(first.model, "name", type(first.model).__name__),
+        first.purpose,
+        sum(outcome.charge_prompt for _, outcome in alive),
+        sum(outcome.charge_completion for _, outcome in alive),
+        batch_size=plan.size, members=len(alive),
+        serial_tokens=sum(outcome.serial_tokens for _, outcome in alive),
+        latency_s=sum(outcome.latency_share_s for _, outcome in alive))
 
 
 def run_model_batch(model: Any, method: str,

@@ -57,15 +57,13 @@ class CallSpec:
     """One charged model method, declared once next to its model.
 
     ``purpose`` is the cost-record label when the caller names none;
-    ``batchable`` lets a serial call share a micro-batch window with other
-    sessions' calls; ``normalize`` maps parameter names to converters;
+    ``normalize`` maps parameter names to converters;
     ``semantic_terms(args, kwargs)`` gives the (query, candidate) term pair
     of a call eligible for the gateway's semantic near-match tier.
     """
 
     method: str
     purpose: str
-    batchable: bool = False
     normalize: Mapping[str, Callable[[Any], Any]] = field(default_factory=dict)
     semantic_terms: Optional[Callable[[Tuple[Any, ...], Dict[str, Any]],
                                       Tuple[Any, Any]]] = None

@@ -31,7 +31,7 @@ class PixelObjectDetector:
     BATCH_OVERHEAD_TOKENS = 32
 
     #: The charged entry points (see :mod:`repro.models.calls`).
-    CALLS = declare(CallSpec("detect", "pixel_detection", batchable=True))
+    CALLS = declare(CallSpec("detect", "pixel_detection"))
 
     def __init__(self, cost_meter: Optional[CostMeter] = None, name: str = "detector:pixel-stats",
                  min_region_fraction: float = 0.005):

@@ -43,21 +43,19 @@ class EmbeddingModel:
     #: batched invocation pays once); see :mod:`repro.models.batching`.
     BATCH_OVERHEAD_TOKENS = 8
 
-    #: The charged entry points (see :mod:`repro.models.calls`).  All are
-    #: batchable; the three term-set predicates are eligible for the
-    #: gateway's semantic near-match tier.
+    #: The charged entry points (see :mod:`repro.models.calls`).  The three
+    #: term-set predicates are eligible for the gateway's semantic
+    #: near-match tier.
     CALLS = declare(
-        CallSpec("embed_word", "embed_word", batchable=True),
-        CallSpec("embed_text", "embed_text", batchable=True),
-        CallSpec("embed_many", "embed_batch", batchable=True,
-                 normalize={"texts": terms}),
-        CallSpec("similarity", "similarity", batchable=True),
-        *(CallSpec(method, method, batchable=True,
+        CallSpec("embed_word", "embed_word"),
+        CallSpec("embed_text", "embed_text"),
+        CallSpec("embed_many", "embed_batch", normalize={"texts": terms}),
+        CallSpec("similarity", "similarity"),
+        *(CallSpec(method, method,
                    normalize={"query_terms": terms, "candidate_terms": terms},
                    semantic_terms=query_and_candidates)
           for method in ("max_similarity", "aggregate_similarity", "match_fraction")),
-        CallSpec("nearest", "nearest", batchable=True,
-                 normalize={"candidates": terms}),
+        CallSpec("nearest", "nearest", normalize={"candidates": terms}),
     )
 
     def __init__(self, lexicon: Optional[Lexicon] = None, dimensions: int = 64,

@@ -144,8 +144,7 @@ _IMAGE_NOUNS = {"poster", "posters", "image", "images", "picture", "pictures", "
 class SimulatedLLM:
     """A deterministic, lexicon-grounded stand-in for a hosted LLM."""
 
-    #: The charged entry points (see :mod:`repro.models.calls`).  LLM calls
-    #: are cached and coalesced when routed, but execute singly.
+    #: The charged entry points (see :mod:`repro.models.calls`).
     CALLS = declare(
         CallSpec("detect_ambiguity", "ambiguity_detection",
                  normalize={"resolved_terms": optional_terms}),

@@ -127,7 +127,7 @@ class EntityExtractor:
     BATCH_OVERHEAD_TOKENS = 640
 
     #: The charged entry points (see :mod:`repro.models.calls`).
-    CALLS = declare(CallSpec("extract", "text_graph_extraction", batchable=True))
+    CALLS = declare(CallSpec("extract", "text_graph_extraction"))
 
     def __init__(self, cost_meter: Optional[CostMeter] = None, lexicon: Optional[Lexicon] = None,
                  name: str = "ner:rule-coref"):

@@ -29,7 +29,7 @@ class OCRTextExtractor:
     BATCH_OVERHEAD_TOKENS = 8
 
     #: The charged entry points (see :mod:`repro.models.calls`).
-    CALLS = declare(CallSpec("extract_text", "ocr", batchable=True))
+    CALLS = declare(CallSpec("extract_text", "ocr"))
 
     def __init__(self, cost_meter: Optional[CostMeter] = None, error_rate: float = 0.02,
                  seed: object = 0, name: str = "ocr:sim-tesseract"):

@@ -10,8 +10,7 @@ instrumentation costs one contextvar read on the cold path.
 
 Cross-trace attribution: each participating session records its *own*
 gateway spans from its own thread (the coalesced follower waits in its
-caller's context; every micro-batch member records its wait around the
-shared execution), so shared work shows up in every trace it served.
+caller's context), so shared work shows up in every trace it served.
 """
 
 from __future__ import annotations

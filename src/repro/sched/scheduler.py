@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
+from collections import OrderedDict, deque
 from concurrent.futures import Future, InvalidStateError
 from contextvars import ContextVar
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
@@ -39,6 +39,10 @@ from repro.sched.cancel import CancelToken, activate
 
 PRIORITY_CLASSES: Tuple[str, ...] = ("interactive", "batch", "background")
 DEFAULT_PRIORITY = "interactive"
+
+# LRU bound on the tenants whose shed/expired counts the scheduler keeps:
+# minted per-request tenants must not grow the map (or stats()) forever.
+_MAX_TRACKED_TENANTS = 1024
 
 # How long an idle worker sleeps between wakeup checks.  Workers are also
 # notified explicitly on every submit/completion; the timeout only bounds
@@ -196,8 +200,8 @@ class FairShareScheduler:
         self._running_total = 0
         self._threads: List[threading.Thread] = []
         self._local = threading.local()
-        self._tenant_sheds: Dict[str, int] = {}
-        self._tenant_expired: Dict[str, int] = {}
+        # tenant -> {"shed": n, "expired": n}, least recently counted first.
+        self._tenant_counts: "OrderedDict[str, Dict[str, int]]" = OrderedDict()
 
         self._admitted = self.metrics.counter(f"{name}.admitted")
         self._shed = self.metrics.counter(f"{name}.shed")
@@ -270,7 +274,7 @@ class FairShareScheduler:
             queue = board.queue_for(tenant, weight)
             if len(queue.items) >= self.queue_limit:
                 self._shed.inc()
-                self._tenant_sheds[tenant] = self._tenant_sheds.get(tenant, 0) + 1
+                self._count_locked(tenant, "shed")
                 raise SchedulerRejection(
                     "backpressure", tenant, sched_class, len(queue.items))
             board.push(task, weight)
@@ -374,8 +378,7 @@ class FairShareScheduler:
         if reason == "deadline":
             self._expired.inc()
             with self._cond:
-                self._tenant_expired[task.tenant] = (
-                    self._tenant_expired.get(task.tenant, 0) + 1)
+                self._count_locked(task.tenant, "expired")
         else:
             self._shed.inc()
         try:
@@ -386,6 +389,14 @@ class FairShareScheduler:
                     reason, task.tenant, task.sched_class))
         except InvalidStateError:
             pass  # the caller cancelled the future first
+
+    def _count_locked(self, tenant: str, kind: str) -> None:
+        """Bump one tenant's ``shed``/``expired`` count, evicting the least
+        recently counted tenant beyond :data:`_MAX_TRACKED_TENANTS`."""
+        self._tenant_counts.setdefault(tenant, {"shed": 0, "expired": 0})[kind] += 1
+        self._tenant_counts.move_to_end(tenant)
+        if len(self._tenant_counts) > _MAX_TRACKED_TENANTS:
+            self._tenant_counts.popitem(last=False)
 
     # -- introspection -----------------------------------------------------
     def stats(self) -> Dict[str, Any]:
@@ -400,12 +411,9 @@ class FairShareScheduler:
                     entry = tenants.setdefault(
                         tenant, {"queued": 0, "shed": 0, "expired": 0})
                     entry["queued"] += len(queue.items)
-            for tenant, count in self._tenant_sheds.items():
+            for tenant, counts in self._tenant_counts.items():
                 tenants.setdefault(
-                    tenant, {"queued": 0, "shed": 0, "expired": 0})["shed"] = count
-            for tenant, count in self._tenant_expired.items():
-                tenants.setdefault(
-                    tenant, {"queued": 0, "shed": 0, "expired": 0})["expired"] = count
+                    tenant, {"queued": 0, "shed": 0, "expired": 0}).update(counts)
             return {
                 "workers": self.workers,
                 "running": self._running_total,
@@ -425,11 +433,12 @@ class FairShareScheduler:
             queued = sum(len(board.queues[tenant].items)
                          for board in self.boards.values()
                          if tenant in board.queues)
+            counts = self._tenant_counts.get(tenant, {})
             return {
                 "tenant": tenant,
                 "queued": queued,
-                "shed": self._tenant_sheds.get(tenant, 0),
-                "expired": self._tenant_expired.get(tenant, 0),
+                "shed": counts.get("shed", 0),
+                "expired": counts.get("expired", 0),
                 "running": self._running_total,
                 "workers": self.workers,
             }

@@ -1,10 +1,10 @@
 """Tests for the model gateway (shared cache, coalescing, batching, admission).
 
 Covers the tentpole contract: identical requests answered once service-wide,
-sessions charged only for their own misses, micro-batched execution for the
-batchable kinds, the opt-in semantic near-match tier with its exact-execution
-fallback guard, admission control, and row-identity between gateway-on and
-gateway-off service runs.
+sessions charged only for their own misses, a vector's misses executed as one
+batched invocation and a lone miss as the serial call, the opt-in semantic
+near-match tier with its exact-execution fallback guard, admission control,
+and row-identity between gateway-on and gateway-off service runs.
 """
 
 import threading
@@ -24,6 +24,7 @@ from repro import (
 from repro.data.workloads import FLAGSHIP_CLARIFICATION
 from repro.errors import SessionQuotaExceededError
 from repro.gateway import (
+    GatewayBatchClient,
     GatewayConfig,
     ModelGateway,
     request_key,
@@ -299,203 +300,131 @@ class TestCoalescing:
 
 
 class TestMicroBatching:
-    def test_window_groups_concurrent_batchable_calls(self):
-        gateway = ModelGateway(GatewayConfig(enable_cache=False,
-                                             enable_coalescing=False,
-                                             batch_window_s=0.05))
-        model = CountingModel()
-        barrier = threading.Barrier(6)
-
-        def call(index):
-            barrier.wait()
-            return gateway.client("s").invoke(model, "ask", (f"p{index}",), {},
-                                              batchable=True)
-
-        with ThreadPoolExecutor(max_workers=6) as pool:
-            results = list(pool.map(call, range(6)))
-
-        assert [r["echo"] for r in results] == [f"p{i}" for i in range(6)]
-        assert model.calls == 6                      # every distinct input ran
-        stats = gateway.batcher.stats
-        assert stats.batches < 6                     # ...but not 6 invocations
-        assert stats.largest_batch >= 2
-        assert stats.batched_calls >= 2
-
     def test_batched_members_pay_sublinear_fair_shares(self):
-        # Two sessions' distinct NER calls land in one batch: each session's
-        # meter gets a single BatchedModelCall whose shares sum to the batch
-        # price, which is below the serial price (shared setup paid once).
+        # Two distinct NER calls in one session's vector run as one batch:
+        # the session's meter gets a single BatchedModelCall whose price is
+        # below the serial price (shared setup paid once).
         from repro.models.cost import BatchedModelCall
-        from repro.models.lexicon import default_lexicon
         from repro.models.ner import EntityExtractor
 
         gateway = ModelGateway(GatewayConfig(enable_cache=False,
-                                             enable_coalescing=False,
-                                             batch_window_s=0.05))
-        lexicon = default_lexicon()
-        meters = {sid: CostMeter() for sid in ("a", "b")}
-        models = {sid: EntityExtractor(cost_meter=meters[sid], lexicon=lexicon)
-                  for sid in meters}
-        texts = {"a": "David Merrill met a gun fight in the city.",
-                 "b": "Ruth Merrill enjoyed a calm garden walk."}
-        serial_cost = {}
-        for sid, text in texts.items():
-            with CostMeter.capture() as records:
-                models[sid].extract(text)
-            serial_cost[sid] = sum(r.total_tokens for r in records)
+                                             enable_coalescing=False))
+        meter = CostMeter()
+        model = EntityExtractor(cost_meter=meter, lexicon=default_lexicon())
+        texts = ["David Merrill met a gun fight in the city.",
+                 "Ruth Merrill enjoyed a calm garden walk."]
+        with CostMeter.capture() as records:
+            for text in texts:
+                model.extract(text)
+        serial_cost = sum(r.total_tokens for r in records)
 
-        barrier = threading.Barrier(2)
+        gateway.client("s").invoke_many(model, "extract",
+                                        [((text,), {}) for text in texts])
 
-        def call(sid):
-            barrier.wait()
-            return gateway.client(sid).invoke(models[sid], "extract",
-                                              (texts[sid],), {},
-                                              batchable=True)
-
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            list(pool.map(call, ("a", "b")))
-
-        calls = {sid: meters[sid].calls for sid in meters}
-        assert all(len(c) == 1 and isinstance(c[0], BatchedModelCall)
-                   for c in calls.values())
-        charged = {sid: calls[sid][0].total_tokens for sid in calls}
-        assert sum(charged.values()) < sum(serial_cost.values())
-        for sid in charged:
-            assert calls[sid][0].serial_tokens == serial_cost[sid]
-            assert charged[sid] < serial_cost[sid]   # everyone got a discount
-        saved = sum(serial_cost.values()) - sum(charged.values())
+        [batched] = meter.calls
+        assert isinstance(batched, BatchedModelCall)
+        assert batched.members == batched.batch_size == 2
+        assert batched.serial_tokens == serial_cost
+        assert batched.total_tokens < serial_cost
+        saved = serial_cost - batched.total_tokens
         assert gateway.batcher.stats.token_savings == saved
         assert gateway.flat_stats()["batch_token_savings"] == saved
-        per_session = {sid: gateway.client(sid).counters.batch_tokens_saved
-                       for sid in charged}
-        assert sum(per_session.values()) == saved
+        assert gateway.client("s").counters.batch_tokens_saved == saved
         kinds = gateway.batcher.stats.by_kind
         assert any(kind.endswith(".extract") for kind in kinds)
         assert max(k.largest_batch for k in kinds.values()) == 2
 
     def test_one_executor_records_one_share_per_meter(self):
-        # A vector from one session and a window shared by two sessions run
-        # through the same executor: the vector lands as one record covering
-        # all its members, the window as one record per session.
-        from repro.gateway import GatewayBatchClient
+        # Each session's vector runs through the one executor and lands as
+        # one record on that session's own meter, covering all its members.
         from repro.models.cost import BatchedModelCall
         from repro.models.ner import EntityExtractor
 
         gateway = ModelGateway(GatewayConfig(enable_cache=False,
-                                             enable_coalescing=False,
-                                             batch_window_s=0.25))
+                                             enable_coalescing=False))
         lexicon = default_lexicon()
-        meters = {sid: CostMeter() for sid in ("v", "a", "b")}
+        meters = {sid: CostMeter() for sid in ("v", "w")}
         models = {sid: EntityExtractor(cost_meter=meters[sid], lexicon=lexicon)
                   for sid in meters}
         texts = ["David Merrill met a gun fight in the city.",
                  "Ruth Merrill enjoyed a calm garden walk.",
                  "A storm hit the harbor at night.",
                  "Two friends argued over dinner."]
-        GatewayBatchClient(gateway.client("v")).invoke(
-            models["v"], "extract", [((text,), {}) for text in texts])
-        [vector_call] = meters["v"].calls
-        assert isinstance(vector_call, BatchedModelCall)
-        assert vector_call.members == vector_call.batch_size == 4
-
-        barrier = threading.Barrier(2)
-
-        def call(sid, text):
-            barrier.wait()
-            return gateway.client(sid).invoke(models[sid], "extract", (text,),
-                                              {}, batchable=True)
-
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            list(pool.map(call, ("a", "b"), texts[:2]))
-        for sid in ("a", "b"):
-            [share] = meters[sid].calls
-            assert isinstance(share, BatchedModelCall)
-            assert share.members == 1 and share.batch_size == 2
+        for sid, vector in (("v", texts), ("w", texts[:2])):
+            GatewayBatchClient(gateway.client(sid)).invoke(
+                models[sid], "extract", [((text,), {}) for text in vector])
+            [record] = meters[sid].calls
+            assert isinstance(record, BatchedModelCall)
+            assert record.members == record.batch_size == len(vector)
         batching = gateway.stats()["batching"]
         assert batching["batches"] == 2
         assert batching["batched_calls"] == 6
         assert batching["largest_batch"] == 4
 
-    def test_queued_followers_skip_the_window_sleep(self):
-        # The satellite bugfix: a follower that is already queued when the
-        # leader loops must be served immediately — not after a further full
-        # window — so each call waits at most one window beyond execution.
-        # Deterministic setup: the leader's execution blocks on an event
-        # until the follower is provably queued, then we count windows.
-        gateway = ModelGateway(GatewayConfig(enable_cache=False,
-                                             enable_coalescing=False,
-                                             batch_window_s=0.5))
+    def test_one_call_miss_is_a_serial_call_not_a_batch(self):
+        # A lone miss on an embeddings method and one on an LLM method each
+        # run as the plain serial call: billed exactly the serial price as a
+        # ModelCall, resolved by the time submit() returns, and not counted
+        # as a batch.  Only a vector of two or more is a batch.
+        from repro.models.base import ModelSuite
+        from repro.models.cost import ModelCall
 
-        class GatedModel:
-            name = "stub:gated"
-            cost_meter = None
+        gateway = ModelGateway(GatewayConfig())
+        routed = ModelSuite.create(seed=7).fork().routed(gateway, "s")
+        reference = ModelSuite.create(seed=7)
+        resolved = []
+        submit = gateway.batcher.submit
 
-            def __init__(self):
-                self.release = threading.Event()
-                self.leading = threading.Event()
+        def spy(kind, member):
+            future = submit(kind, member)
+            resolved.append(future.done())
+            return future
 
-            def ask(self, prompt):
-                if prompt == "lead":
-                    self.leading.set()
-                    assert self.release.wait(5)
-                return {"echo": prompt}
+        gateway.batcher.submit = spy
+        for kind, method, args in (
+                ("embeddings", "match_fraction", (["gun"], ["fight"])),
+                ("llm", "generate_keywords", ("exciting",))):
+            assert (getattr(getattr(routed, kind), method)(*args)
+                    == getattr(getattr(reference, kind), method)(*args))
+        served = routed.cost_meter.calls
+        assert served == reference.cost_meter.calls
+        assert {call.purpose for call in served} == {"match_fraction",
+                                                     "keyword_generation"}
+        assert all(type(call) is ModelCall for call in served)
+        assert resolved == [True, True]
+        assert gateway.stats()["batching"]["batches"] == 0
 
-        model = GatedModel()
-        kind = "stub:gated.ask"
-
-        def call(prompt):
-            return gateway.client("s").invoke(model, "ask", (prompt,), {},
-                                              batchable=True)
-
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            lead_future = pool.submit(call, "lead")
-            assert model.leading.wait(5)   # the leader is mid-execution
-            follow_future = pool.submit(call, "follow")
-            # Wait until the follower sits in the queue while the leader is
-            # still executing (its own entry was already dequeued).
-            deadline = time.monotonic() + 5
-            while len(gateway.batcher._queues.get(kind, [])) < 1:
-                assert time.monotonic() < deadline
-                time.sleep(0.005)
-            released_at = time.monotonic()
-            model.release.set()
-            assert lead_future.result()["echo"] == "lead"
-            assert follow_future.result()["echo"] == "follow"
-            follower_wait = time.monotonic() - released_at
-        # One window slept (the leader's own); the queued follower was
-        # dispatched without a second window — the old code slept again at
-        # the top of every drain loop, costing a further 0.5 s here.
-        assert gateway.batcher.window_sleeps == 1
-        assert follower_wait < 0.4
+        routed.call_many("embeddings", "embed_text",
+                         [((f"a calm garden walk {i}",), {}) for i in range(4)])
+        batching = gateway.stats()["batching"]
+        assert batching["batches"] == 1
+        assert batching["largest_batch"] == 4
 
     def test_member_failure_only_fails_that_member(self):
-        gateway = ModelGateway(GatewayConfig(enable_cache=False,
-                                             enable_coalescing=False,
-                                             batch_window_s=0.05))
+        gateway = ModelGateway(GatewayConfig(enable_coalescing=False))
 
         class PickyModel:
             name = "stub:picky"
             cost_meter = None
+            calls = 0
 
             def ask(self, prompt):
+                self.calls += 1
                 if prompt == "bad":
                     raise ValueError("no thanks")
                 return {"echo": prompt}
 
         model = PickyModel()
-        barrier = threading.Barrier(3)
-
-        def call(prompt):
-            barrier.wait()
-            return gateway.client("s").invoke(model, "ask", (prompt,), {},
-                                              batchable=True)
-
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            futures = {p: pool.submit(call, p) for p in ("ok1", "bad", "ok2")}
-            assert futures["ok1"].result()["echo"] == "ok1"
-            assert futures["ok2"].result()["echo"] == "ok2"
-            with pytest.raises(ValueError, match="no thanks"):
-                futures["bad"].result()
+        client = GatewayBatchClient(gateway.client("s"))
+        calls = [((prompt,), {}) for prompt in ("ok1", "bad", "ok2")]
+        with pytest.raises(ValueError, match="no thanks"):
+            client.invoke(model, "ask", calls)
+        assert model.calls == 3
+        # The healthy members executed and were published: re-asking them
+        # is answered from the cache without running the model again.
+        assert client.invoke(model, "ask", [calls[0], calls[2]]) == [
+            {"echo": "ok1"}, {"echo": "ok2"}]
+        assert model.calls == 3
 
 
 class TestSemanticTier:

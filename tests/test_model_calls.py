@@ -4,8 +4,8 @@ Every charged model method is declared once, as a ``CallSpec`` in its
 model's ``CALLS`` table; the one generic gateway proxy and
 ``ModelSuite.call_many`` build every call from it.  These tests pin:
 
-* conformance — each spec names a real method, its ``purpose`` default is
-  the method's own, and the batchable set is the serving stack's;
+* conformance — each spec names a real method and its ``purpose`` default
+  is the method's own;
 * the request keys — a golden table of one key per declared method, so
   persisted gateway stores written before the declarations still hit;
 * the generic routing — serial and vector calls share keys, and a new
@@ -86,14 +86,6 @@ GOLDEN_KEYS = [
      (14747891807073416693, 17395858289430783466)),
 ]
 
-#: The kinds a real serving stack batches: every embeddings method, entity
-#: extraction, pixel detection and OCR.
-BATCHABLE = {("embeddings", method) for method in (
-    "embed_word", "embed_text", "embed_many", "similarity", "max_similarity",
-    "aggregate_similarity", "match_fraction", "nearest")} | {
-    ("ner", "extract"), ("detector", "detect"), ("ocr", "extract_text")}
-
-
 def routed_suite():
     gateway = ModelGateway(GatewayConfig())
     return gateway, ModelSuite.create(seed=7).fork().routed(gateway, "s")
@@ -115,10 +107,6 @@ class TestConformance:
         parameters = inspect.signature(method).parameters
         assert parameters["purpose"].default == spec.purpose
         assert set(spec.normalize) <= set(parameters)
-
-    def test_batchable_set_is_the_serving_stacks(self):
-        assert {(kind, spec.method) for kind, spec in declared()
-                if spec.batchable} == BATCHABLE
 
     def test_semantic_terms_only_on_term_set_predicates(self):
         assert {spec.method for _, spec in declared()

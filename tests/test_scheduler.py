@@ -22,7 +22,7 @@ from repro.errors import QueryCancelledError, SchedulerRejection
 from repro.gateway.admission import AdmissionController
 from repro.sched import CancelToken, FairShareScheduler
 from repro.sched.cancel import activate, check_current_cancel
-from repro.sched.scheduler import default_reservations
+from repro.sched.scheduler import _MAX_TRACKED_TENANTS, default_reservations
 
 RECENT_QUERY = "List the films released after 2000."
 BORING_QUERY = "Which films have a boring poster?"
@@ -261,6 +261,24 @@ class TestDeadlines:
             stats = sched.stats()
             assert stats["expired"] == 1
             assert stats["tenants"]["t"]["expired"] == 1
+        finally:
+            sched.shutdown()
+
+    def test_per_tenant_counts_stay_bounded(self):
+        """Minted one-shot tenants that expire must not grow the per-tenant
+        counts (or stats()) forever; the latest tenants stay exact."""
+        sched = FairShareScheduler(workers=1)
+        token = CancelToken(deadline_s=0.0)
+        try:
+            for n in range(5000):
+                sched.submit(lambda task: None, tenant=f"s{n}", token=token,
+                             shed_result=lambda task, reason: reason)
+            tenants = sched.stats()["tenants"]
+            assert len(sched._tenant_counts) <= _MAX_TRACKED_TENANTS
+            assert len(tenants) <= _MAX_TRACKED_TENANTS
+            assert tenants["s4999"]["expired"] == 1
+            assert sched.tenant_snapshot("s4999")["expired"] == 1
+            assert sched.stats()["expired"] == 5000
         finally:
             sched.shutdown()
 
