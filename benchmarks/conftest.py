@@ -18,6 +18,7 @@ from repro.data.workloads import (
     FLAGSHIP_CORRECTION,
     FLAGSHIP_QUERY,
 )
+from repro.gateway.gateway import ModelGateway
 from repro.models.base import ModelSuite
 
 CORPUS_SIZE = 20
@@ -44,7 +45,10 @@ def bench_corpus():
 
 @pytest.fixture(scope="session")
 def bench_models():
-    return ModelSuite.create(seed=CORPUS_SEED)
+    """A suite routed through a pass-through gateway (no tier answers a
+    call), as the facade's default session is: populators hand it vectors."""
+    return ModelSuite.create(seed=CORPUS_SEED).routed(ModelGateway.pass_through(),
+                                                      "bench")
 
 
 @pytest.fixture(scope="session")

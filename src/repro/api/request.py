@@ -91,7 +91,8 @@ class QueryResponse:
     top_explanation: Optional[str] = None
     # What the model gateway did for this request (hits/misses/coalesced/
     # semantic_hits/tokens_saved/tokens_charged/batch_tokens_saved); None
-    # when no gateway routed the session.
+    # on a response no session answered to completion (shed, failed,
+    # cancelled, or a sharded merge).
     gateway_stats: Optional[Dict[str, int]] = None
     # The answering session's quota position after this request, so callers
     # can back off *before* the gateway raises SessionQuotaExceededError.

@@ -40,7 +40,7 @@ from repro.obs.trace import Tracer
 from repro.optimizer.optimizer import MIN_ACCURACY
 from repro.optimizer.profile_cache import ProfileCache
 from repro.relational.catalog import Catalog
-from repro.skills.backends import backend_from_spec
+from repro.skills.backends import FileBackend, SkillBackend, backend_from_spec
 from repro.skills.store import SkillStore
 
 
@@ -74,14 +74,17 @@ class KathDBService(RequestFrontend):
         # The durable skill store (when configured) is the single persistence
         # path for generated code: the registry mirrors sources through its
         # file backend, and the profile cache persists through the same
-        # backend.  A bare ``workspace`` keeps mounting a file backend at
-        # that path (the legacy layout) without enabling retrieval.
+        # backend.  A ``workspace`` mounts a file backend at that path (the
+        # legacy layout) instead, without enabling retrieval.
         self.skill_store = self._build_skill_store()
-        source_sink = (self.skill_store.source_sink()
-                       if self.skill_store is not None and self.config.workspace is None
-                       else None)
-        self.registry = FunctionRegistry(workspace=self.config.workspace,
-                                         source_sink=source_sink)
+        source_sink: Optional[SkillBackend]
+        if self.config.workspace is not None:
+            source_sink = FileBackend(self.config.workspace)
+        elif self.skill_store is not None:
+            source_sink = self.skill_store.source_sink()
+        else:
+            source_sink = None
+        self.registry = FunctionRegistry(source_sink=source_sink)
         # The model gateway fronts all foundation-model traffic from service
         # sessions (and corpus population): shared exact/semantic caching,
         # in-flight coalescing, batching, and admission control.

@@ -6,7 +6,9 @@ forked model suite (own cost meter, own lexicon copy) — while sharing the
 expensive read-only state (catalog, corpus views, function registry, prepared
 plans) with every other session of the same :class:`KathDBService`.  Two
 sessions can therefore run queries concurrently and produce exactly the rows
-a serial run would.
+a serial run would.  The request front end — parse, plan, verify and revise,
+optimize, execute, explain — is written once, here; the
+:class:`~repro.core.kathdb.KathDB` facade delegates to its default session.
 """
 
 from __future__ import annotations
@@ -25,6 +27,9 @@ from repro.interaction.channel import InteractionChannel, Transcript
 from repro.interaction.user import SilentUser, UserAgent
 from repro.models.base import ModelSuite
 from repro.obs.trace import current_trace, span as obs_span
+from repro.parser.logical_plan import LogicalPlan
+from repro.parser.nl_parser import ParseOutcome
+from repro.parser.plan_verifier import VerificationReport
 from repro.sched.cancel import current_cancel_token
 from repro.sched.scheduler import current_task as sched_current_task
 from repro.relational.table import Table
@@ -37,9 +42,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class Session:
     """One caller's isolated query context.
 
-    Created via :meth:`KathDBService.session` (isolated: forked models,
-    scoped lineage) or by the legacy facade with explicit components (shared:
-    the single-user path keeps its historical accounting).
+    Created via :meth:`KathDBService.session` (isolated: a forked suite
+    routed through the service's gateway, scoped lineage) or by the legacy
+    facade with explicit components (shared: the service's suite routed
+    through a private pass-through gateway, and the service's lineage
+    store).  Either way every model call goes through a gateway client, so
+    the session's gateway counters and quota position are always live.
     """
 
     def __init__(self, service: "KathDBService", session_id: str,
@@ -57,8 +65,7 @@ class Session:
         self.tenant = tenant_id or session_id
         self.default_user = user or SilentUser()
         if models is not None:
-            # Legacy facade path: the caller wired the suite explicitly (the
-            # shared one); keep its historical direct accounting un-routed.
+            # Legacy facade path: the caller wired an already-routed suite.
             self.models = models
         else:
             # Route the fork through the shared gateway: identical calls
@@ -138,12 +145,9 @@ class Session:
         semantic hits, tokens saved/charged, batch savings); ``window_s``
         attaches a ``windowed`` entry covering only this session's events
         over the last that-many seconds — the per-tenant live view the
-        ROADMAP's multi-tenant quota-tuning item asked for.  Empty for
-        un-routed (legacy facade) sessions.
+        ROADMAP's multi-tenant quota-tuning item asked for.
         """
-        client = getattr(self.models, "gateway_client", None)
-        if client is None:
-            return {}
+        client = self.models.gateway_client
         stats: Dict[str, object] = dict(client.counters.as_dict())
         stats["session_id"] = self.id
         if window_s is not None:
@@ -155,15 +159,10 @@ class Session:
     def quota_state(self) -> Dict[str, Optional[int]]:
         """This session's live quota position (see the properties below).
 
-        Routed sessions read the gateway's admission ledger — the authority
-        the quota is enforced against; un-routed (legacy facade) sessions
-        fall back to their private meter and never exhaust.
+        It is read from the gateway's admission ledger, the authority the
+        quota is enforced against.
         """
-        client = getattr(self.models, "gateway_client", None)
-        if client is not None:
-            return client.quota_state()
-        return {"tokens_used": self.models.cost_meter.total_tokens,
-                "tokens_remaining": None, "quota_exhausted": False}
+        return self.models.gateway_client.quota_state()
 
     @property
     def tokens_used(self) -> int:
@@ -240,8 +239,8 @@ class Session:
         transcript = request.transcript if request.transcript is not None else self.transcript
         channel = InteractionChannel(agent, transcript)
 
-        gateway_client = getattr(self.models, "gateway_client", None)
-        gateway_marker = gateway_client.counters.snapshot() if gateway_client else None
+        gateway_counters = self.models.gateway_client.counters
+        gateway_marker = gateway_counters.snapshot()
 
         timer = Timer()
         with timer:
@@ -274,11 +273,11 @@ class Session:
                                  optimize_tokens=0 if hit else
                                  prepared.optimization.tokens_spent,
                                  execute_tokens=execute_tokens,
-                                 wall_clock_s=timer.elapsed)
-        if gateway_client is not None:
-            # What the shared gateway did for *this* request (per-session
-            # counters are race-free: a session runs one query at a time).
-            response.gateway_stats = gateway_client.counters.delta(gateway_marker)
+                                 wall_clock_s=timer.elapsed,
+                                 # What the gateway did for *this* request
+                                 # (per-session counters are race-free: a
+                                 # session runs one query at a time).
+                                 gateway_stats=gateway_counters.delta(gateway_marker))
         quota = self.quota_state()
         response.tokens_used = quota["tokens_used"]
         response.tokens_remaining = quota["tokens_remaining"]
@@ -316,13 +315,31 @@ class Session:
                  key) -> PreparedQuery:
         """Parse, plan, verify, and optimize one query (the expensive path)."""
         marker = self.models.cost_meter.snapshot()
+        parse_outcome, plan, report = self.parse_and_plan(
+            request.nl_query, channel, request.options.max_plan_rounds)
+        physical, optimization = self.stack.optimizer.optimize(plan)
+        return PreparedQuery(key=key, nl_query=request.nl_query,
+                             parse_outcome=parse_outcome, logical_plan=plan,
+                             verification=report, physical_plan=physical,
+                             optimization=optimization,
+                             prepare_tokens=self.models.cost_meter.tokens_since(marker))
+
+    def parse_and_plan(self, nl_query: str, channel: InteractionChannel,
+                       max_plan_rounds: int = 3
+                       ) -> Tuple[ParseOutcome, LogicalPlan, VerificationReport]:
+        """Run the parser and the plan writer/verifier loop for one query.
+
+        Raises :class:`~repro.errors.PlanVerificationError` when the
+        verifier still rejects the plan after ``max_plan_rounds`` revisions.
+        """
         with obs_span("parse", kind="stage"):
-            parse_outcome = self.stack.parser.parse(request.nl_query, channel)
+            parse_outcome = self.stack.parser.parse(nl_query, channel)
         with obs_span("plan", kind="stage") as plan_sp:
-            plan = self.stack.plan_generator.generate(parse_outcome.sketch, parse_outcome.intent)
+            plan = self.stack.plan_generator.generate(parse_outcome.sketch,
+                                                      parse_outcome.intent)
             report = self.stack.plan_verifier.verify(plan)
             rounds = 0
-            while not report.approved and rounds < request.options.max_plan_rounds:
+            while not report.approved and rounds < max_plan_rounds:
                 plan = self.stack.plan_generator.revise(plan, report.hints)
                 report = self.stack.plan_verifier.verify(plan)
                 rounds += 1
@@ -330,13 +347,8 @@ class Session:
             if not report.approved:
                 raise PlanVerificationError(
                     "the plan verifier rejected the logical plan after "
-                    f"{request.options.max_plan_rounds} revision rounds: {report.problems}")
-        physical, optimization = self.stack.optimizer.optimize(plan)
-        return PreparedQuery(key=key, nl_query=request.nl_query,
-                             parse_outcome=parse_outcome, logical_plan=plan,
-                             verification=report, physical_plan=physical,
-                             optimization=optimization,
-                             prepare_tokens=self.models.cost_meter.tokens_since(marker))
+                    f"{max_plan_rounds} revision rounds: {report.problems}")
+        return parse_outcome, plan, report
 
     def _adopt_repairs(self, prepared: PreparedQuery, executed_plan, result,
                        pins: Dict[str, int]) -> None:

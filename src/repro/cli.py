@@ -459,7 +459,8 @@ def run(args: argparse.Namespace, output=None) -> int:
         print("error: provide --query or --flagship", file=output)
         return 2
     # Gateway flags only make sense on the service path (the legacy facade
-    # keeps its direct, un-routed accounting), so they force batch mode.
+    # rides a private pass-through gateway with no tiers), so they force
+    # batch mode.
     service_mode = (args.jobs > 1 or args.repeat > 1
                     or bool(args.gateway_stats) or args.no_model_cache
                     or args.semantic_cache is not None

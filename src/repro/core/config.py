@@ -78,8 +78,9 @@ class KathDBConfig:
     # benchmarks measure genuine overlap rather than GIL contention.
     simulate_model_latency: float = 0.0
     # Model gateway: the shared front door for all service foundation-model
-    # traffic (the legacy single-user facade's default session keeps its
-    # historical direct accounting).  See src/repro/gateway/.
+    # traffic (the legacy single-user facade's default session rides a
+    # private pass-through gateway instead, which these knobs do not
+    # configure).  See src/repro/gateway/.
     # Exact-match result cache (and the semantic tier riding on it).
     enable_model_cache: bool = True
     gateway_cache_entries: int = 4096

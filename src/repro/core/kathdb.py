@@ -9,10 +9,12 @@ result explainer.
 
 Since the session/service redesign this facade is a thin backward-compatible
 wrapper over one *default session* of a :class:`~repro.api.service.KathDBService`:
-the default session shares the facade's model suite and lineage store (so the
-historical single-user accounting is unchanged), while :meth:`session` hands
-out fully isolated sessions and :attr:`service` exposes the concurrent
-request/response API.
+the default session shares the service's model suite (its meter and lexicon)
+and lineage store, routed through a private pass-through gateway that caches
+nothing (so the historical single-user accounting is unchanged), while
+:meth:`session` hands out fully isolated sessions and :attr:`service`
+exposes the concurrent request/response API.  Querying, planning and
+explanation are the default session's.
 
 Typical use::
 
@@ -37,9 +39,9 @@ from repro.api.session import Session
 from repro.core.config import KathDBConfig
 from repro.data.mmqa import MovieCorpus
 from repro.datamodel.views import PopulationReport
-from repro.errors import PlanVerificationError
 from repro.executor.result import QueryResult
 from repro.explain.explainer import TupleExplanation
+from repro.gateway.gateway import ModelGateway
 from repro.interaction.channel import InteractionChannel, Transcript
 from repro.interaction.user import SilentUser, UserAgent
 from repro.parser.logical_plan import LogicalPlan
@@ -53,8 +55,12 @@ class KathDB:
     def __init__(self, config: Optional[KathDBConfig] = None):
         self.config = config or KathDBConfig()
         self.service = KathDBService(self.config)
+        # The service's suite (same meter and lexicon), routed through a
+        # private pass-through gateway: every call executes and is billed
+        # as before, and none of it shows in the service's gateway stats.
+        self.models = self.service.models.routed(ModelGateway.pass_through(),
+                                                 "default")
         # Shared-core aliases (unchanged public surface).
-        self.models = self.service.models
         self.catalog = self.service.catalog
         self.lineage = self.service.lineage
         self.registry = self.service.registry
@@ -76,7 +82,15 @@ class KathDB:
         self.explainer = stack.explainer
         self.lineage_qa = stack.lineage_qa
         self.population_report: Optional[PopulationReport] = None
-        self.last_result: Optional[QueryResult] = None
+
+    @property
+    def last_result(self) -> Optional[QueryResult]:
+        """The default session's latest result (assignable)."""
+        return self._session.last_result
+
+    @last_result.setter
+    def last_result(self, result: Optional[QueryResult]) -> None:
+        self._session.last_result = result
 
     # -- sessions ----------------------------------------------------------------------
     @property
@@ -115,52 +129,27 @@ class KathDB:
                                options=options or QueryOptions(use_prepared=False),
                                transcript=transcript if transcript is not None
                                else Transcript())
-        response = self._session.query(request)
-        self.last_result = response.result
-        return response.result
+        return self._session.query(request).result
 
     def parse_and_plan(self, nl_query: str,
                        channel: InteractionChannel,
                        max_plan_rounds: int = 3
                        ) -> Tuple[ParseOutcome, LogicalPlan, VerificationReport]:
         """Run the parser and the plan writer/verifier loop for one query."""
-        parse_outcome = self.parser.parse(nl_query, channel)
-        plan = self.plan_generator.generate(parse_outcome.sketch, parse_outcome.intent)
-        report = self.plan_verifier.verify(plan)
-        rounds = 0
-        while not report.approved and rounds < max_plan_rounds:
-            plan = self.plan_generator.revise(plan, report.hints)
-            report = self.plan_verifier.verify(plan)
-            rounds += 1
-        if not report.approved:
-            raise PlanVerificationError(
-                "the plan verifier rejected the logical plan after "
-                f"{max_plan_rounds} revision rounds: {report.problems}")
-        return parse_outcome, plan, report
+        return self._session.parse_and_plan(nl_query, channel, max_plan_rounds)
 
     # -- explanation -----------------------------------------------------------------------
     def explain_pipeline(self, result: Optional[QueryResult] = None) -> str:
         """Coarse-grained explanation of the latest (or given) query."""
-        return self.explainer.explain_pipeline(self._result(result))
+        return self._session.explain_pipeline(result)
 
     def explain_tuple(self, result: Optional[QueryResult], lid: int) -> TupleExplanation:
         """Fine-grained explanation of one output tuple by lineage id."""
-        return self.explainer.explain_tuple(self._result(result), lid)
+        return self._session.explain_tuple(result, lid)
 
     def ask(self, question: str, result: Optional[QueryResult] = None) -> str:
         """Free-form NL question over the latest (or given) query's lineage."""
-        resolved = self._result(result)
-        answer = self.lineage_qa.ask(question, resolved)
-        if resolved.transcript is not None:
-            channel = InteractionChannel(SilentUser(), resolved.transcript)
-            channel.record_explanation_request(question, answer)
-        return answer
-
-    def _result(self, result: Optional[QueryResult]) -> QueryResult:
-        resolved = result or self.last_result
-        if resolved is None:
-            raise ValueError("no query has been executed yet")
-        return resolved
+        return self._session.ask(question, result)
 
     # -- versioning: roll-backs and iterative refinement --------------------------------------
     def rollback_function(self, name: str):
@@ -184,7 +173,7 @@ class KathDB:
         rerun *continues the source result's transcript*, so the explanation
         history of the original run is preserved alongside the new turns.
         """
-        source = self._result(result)
+        source = self._session._result(result)
         if source.physical_plan is None:
             raise ValueError("the result carries no physical plan to re-run")
         plan = source.physical_plan.clone().pin_versions(self.registry, versions or {})
@@ -194,7 +183,6 @@ class KathDB:
         rerun.intent = source.intent
         rerun.logical_plan = source.logical_plan
         self.last_result = rerun
-        self._session.last_result = rerun
         return rerun
 
     # -- introspection ----------------------------------------------------------------------

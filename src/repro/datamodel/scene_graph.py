@@ -116,8 +116,8 @@ def populate_scene_graph(poster_rows: Iterable[Dict[str, object]], models: Model
     batch_size:
         Scene-graph extraction is issued as one batched VLM call per this
         many posters (sub-linear token cost through
-        :meth:`~repro.models.base.ModelSuite.call_many`, gateway-aware when
-        the suite is routed).  ``1`` prices every poster as a serial call.
+        :meth:`~repro.models.base.ModelSuite.call_many`, so the suite must be
+        routed).  ``1`` prices every poster as a serial call.
         Emitted rows — and their lineage entries — are identical at every
         size.
     """

@@ -116,8 +116,8 @@ def populate_text_graph(document_rows: Iterable[Dict[str, object]], models: Mode
 
     Extraction is issued as one batched call to the suite's NER model per
     ``batch_size`` documents (sub-linear token cost through
-    :meth:`~repro.models.base.ModelSuite.call_many`, gateway-aware when the
-    suite is routed); ``1`` prices every document as a serial call.
+    :meth:`~repro.models.base.ModelSuite.call_many`, so the suite must be
+    routed); ``1`` prices every document as a serial call.
     Emitted rows — and their lineage entries — are identical at every size.
     """
     entities = Table("text_entities", Schema(list(ENTITIES_SCHEMA.columns)),

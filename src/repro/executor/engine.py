@@ -133,8 +133,8 @@ class ExecutionEngine:
 
         # Per-operator gateway delta: the suite's client counters are
         # session-private, and a session executes one operator at a time.
-        gateway_client = getattr(self.models, "gateway_client", None)
-        gateway_marker = gateway_client.counters.snapshot() if gateway_client else None
+        gateway_counters = self.models.gateway_client.counters
+        gateway_marker = gateway_counters.snapshot()
 
         # One ``operator`` span per physical operator; model-call spans the
         # gateway records during the body nest under it.
@@ -173,18 +173,17 @@ class ExecutionEngine:
             record.tokens = self.models.cost_meter.tokens_since(marker)
             record.function_version = function.version
             record.function_variant = function.variant
-            if gateway_client is not None:
-                delta = gateway_client.counters.delta(gateway_marker)
-                record.gateway_hits = (delta["hits"] + delta["coalesced"]
-                                       + delta["semantic_hits"])
-                record.gateway_tokens_saved = delta["tokens_saved"]
-                record.gateway_batch_tokens_saved = delta["batch_tokens_saved"]
-                record.batch_calls = delta["batch_calls"]
-                # The audit list is bounded (old entries are trimmed), so read
-                # this operator's batches as a count-sized suffix, not by index.
-                record.batch_sizes = (
-                    list(gateway_client.counters.batch_sizes[-record.batch_calls:])
-                    if record.batch_calls else [])
+            delta = gateway_counters.delta(gateway_marker)
+            record.gateway_hits = (delta["hits"] + delta["coalesced"]
+                                   + delta["semantic_hits"])
+            record.gateway_tokens_saved = delta["tokens_saved"]
+            record.gateway_batch_tokens_saved = delta["batch_tokens_saved"]
+            record.batch_calls = delta["batch_calls"]
+            # The audit list is bounded (old entries are trimmed), so read
+            # this operator's batches as a count-sized suffix, not by index.
+            record.batch_sizes = (
+                list(gateway_counters.batch_sizes[-record.batch_calls:])
+                if record.batch_calls else [])
 
             # Lineage recording.
             record.lineage_data_type = self._record_lineage(node, function, inputs, output,

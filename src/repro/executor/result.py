@@ -30,10 +30,9 @@ class ExecutionRecord:
     table_lid: Optional[int] = None
     repairs: List[str] = field(default_factory=list)
     anomalies: List[str] = field(default_factory=list)
-    # Model-gateway activity while this operator ran (0 when no gateway
-    # routes the executing suite): calls answered without executing a model,
-    # the tokens those answers would have cost, and the discount
-    # batched misses received off their serial price.
+    # Model-gateway activity while this operator ran: calls answered
+    # without executing a model, the tokens those answers would have cost,
+    # and the discount batched misses received off their serial price.
     gateway_hits: int = 0
     gateway_tokens_saved: int = 0
     gateway_batch_tokens_saved: int = 0

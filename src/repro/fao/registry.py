@@ -5,16 +5,15 @@ tag ... these functions are persisted locally on disk", enabling precise
 lineage queries, safe roll-backs, and iterative refinement.  The registry
 keeps every version in memory and mirrors each one through a *source sink* —
 a skill-store backend whose ``put_source`` writes the source file plus a
-metadata JSON.  The legacy ``workspace`` knob is a compatibility shim: when
-only a workspace directory is given, a file backend is mounted there, so
-there is exactly one persistence path for generated code.
+metadata JSON — so there is exactly one persistence path for generated code.
+The owner picks the sink (:class:`~repro.api.service.KathDBService` mounts a
+:class:`~repro.skills.backends.FileBackend` at ``KathDBConfig.workspace``).
 """
 
 from __future__ import annotations
 
 import threading
-from pathlib import Path
-from typing import Dict, List, Optional, TYPE_CHECKING, Union
+from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.errors import FunctionGenerationError
 from repro.fao.function import GeneratedFunction
@@ -26,16 +25,11 @@ if TYPE_CHECKING:  # pragma: no cover - skills imports fao, so defer at runtime
 class FunctionRegistry:
     """Stores generated functions by name and version."""
 
-    def __init__(self, workspace: Optional[Union[str, Path]] = None,
-                 source_sink: Optional["SkillBackend"] = None):
+    def __init__(self, source_sink: Optional["SkillBackend"] = None):
         self._versions: Dict[str, List[GeneratedFunction]] = {}
-        self.workspace = Path(workspace) if workspace else None
         # The registry is shared by every session of a service; registration
         # must stay atomic when concurrent queries repair functions.
         self._lock = threading.Lock()
-        if source_sink is None and self.workspace is not None:
-            from repro.skills.backends import FileBackend
-            source_sink = FileBackend(self.workspace)
         self.source_sink = source_sink
 
     # -- registration -------------------------------------------------------------

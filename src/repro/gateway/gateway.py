@@ -2,7 +2,9 @@
 
 Every model call a :class:`~repro.api.service.KathDBService` makes — from
 any session, the view populator, or the CLI batch path — funnels through one
-:class:`ModelGateway`.  The gateway stacks four tiers in front of the
+:class:`ModelGateway`; the :class:`~repro.core.kathdb.KathDB` facade's
+default session funnels through a private :meth:`ModelGateway.pass_through`
+one.  The gateway stacks four tiers in front of the
 simulated model suite, cheapest first:
 
 1. **exact cache** — identical requests answered from a shared LRU
@@ -97,8 +99,8 @@ class SessionCounters:
     # serial price minus the batched share it actually paid).
     batch_tokens_saved: int = 0
     # Batched invocations this session issued itself: one per executed
-    # chunk of a multi-call vector.  One-call vectors (serial calls) are
-    # not counted here.
+    # chunk of two or more members, as BatchStats counts them.  A
+    # one-member chunk runs as a serial call and is not counted here.
     batch_calls: int = 0
     # Sizes of those batched invocations, in issue order.  Not part of
     # _KEYS (lists don't delta); the engine snapshots the length instead.
@@ -213,6 +215,22 @@ class ModelGateway:
             self.semantic.restore_persisted()
         self._clients_lock = threading.Lock()
         self._clients: "OrderedDict[str, SessionGatewayClient]" = OrderedDict()
+
+    @classmethod
+    def pass_through(cls) -> "ModelGateway":
+        """A gateway that only meters: every call executes and is billed.
+
+        The exact, semantic and coalescing tiers are off and batching is
+        on, so a vector of calls is priced exactly as one batched invocation
+        per chunk, and a serial call exactly as the model's own call.  It
+        keeps its own :class:`~repro.obs.metrics.MetricsRegistry`, so its
+        traffic never shows in a service's ``gateway.*`` stats.  The
+        :class:`~repro.core.kathdb.KathDB` facade routes its default
+        session through one; a standalone suite is routed the same way
+        (``suite.routed(ModelGateway.pass_through(), session_id)``).
+        """
+        return cls(GatewayConfig(enable_cache=False, enable_coalescing=False,
+                                 enable_semantic=False))
 
     #: Internal (quota-exempt) client ids live under this prefix; caller
     #: session ids may not use it, so a session named "loader" can never

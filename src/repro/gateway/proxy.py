@@ -24,7 +24,7 @@ class GatewayModelProxy:
 
     @property
     def wrapped(self) -> Any:
-        """The underlying (un-routed) model."""
+        """The underlying bare model."""
         return self._model
 
     def __getattr__(self, name: str) -> Any:

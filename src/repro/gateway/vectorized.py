@@ -83,7 +83,7 @@ class GatewayBatchClient:
     def invoke(self, model: Any, method: str, calls: Sequence[BatchCall], *,
                semantic_terms_of: Optional[Callable[..., Any]] = None
                ) -> List[Any]:
-        """Answer a homogeneous vector of calls on one (un-routed) model.
+        """Answer a homogeneous vector of calls on one bare model.
 
         Results are element-wise identical to serial execution, in call
         order.  Every member of an executing chunk runs and every member
@@ -238,8 +238,7 @@ class GatewayBatchClient:
                     for slot in led_slots.values():
                         gateway.coalescer.fail(slot, error)
                     raise
-                self._publish(executing, outcomes, led_slots, results, chunk_sp,
-                              own_chunk=len(calls) > 1)
+                self._publish(executing, outcomes, led_slots, results, chunk_sp)
 
         # Collect members another caller computed while this vector ran.
         # Each wait is its own ``model`` span on *this* session's trace, so
@@ -257,8 +256,8 @@ class GatewayBatchClient:
         return results
 
     def _publish(self, executing: List[_Miss], outcomes: List[MemberOutcome],
-                 led_slots: Dict[Any, Any], results: List[Any], chunk_sp: Any, *,
-                 own_chunk: bool) -> None:
+                 led_slots: Dict[Any, Any], results: List[Any], chunk_sp: Any
+                 ) -> None:
         """Bill one executed chunk and publish every member's outcome.
 
         Results go to the caller, representatives to the exact and semantic
@@ -285,11 +284,12 @@ class GatewayBatchClient:
                     counters.batch_tokens_saved += saved
                     gateway.note_event("batch_saved", 0, saved, client.session_id)
                     chunk_sp.tag(batch_tokens_saved=saved)
-                chunk_sp.tag(outcome="batched-chunk" if len(outcomes) > 1
-                             else "executed", tokens=charged)
-                if own_chunk:
-                    # A chunk of a multi-call vector; a one-call vector is
-                    # the serial call and is not counted as a batch call.
+                batched = len(outcomes) > 1
+                chunk_sp.tag(outcome="batched-chunk" if batched else "executed",
+                             tokens=charged)
+                if batched:
+                    # A batched invocation, the unit BatchStats counts; a
+                    # one-member chunk ran as a serial call and is not one.
                     counters.batch_calls += 1
                     counters.batch_sizes.append(len(alive))
                     if len(counters.batch_sizes) > self.MAX_RECORDED_SIZES:

@@ -8,18 +8,18 @@ rest of the system takes a single dependency.
 Each model declares its charged methods once, as a ``CALLS`` table of
 :class:`~repro.models.calls.CallSpec`.  A serial call is a plain method
 call on the suite's model; a vector of same-method calls goes through one
-entry, :meth:`ModelSuite.call_many`, which answers it as batched
-invocations with sub-linear token cost (see :mod:`repro.models.batching`)
-on either route: through the gateway funnel on a routed suite, directly on
-the model's own meter otherwise.
+entry, :meth:`ModelSuite.call_many`, which answers it through the gateway
+funnel as batched invocations with sub-linear token cost (see
+:mod:`repro.models.batching`).  Only a routed suite (:meth:`ModelSuite.routed`)
+takes vectors; a suite that needs no shared tier rides a
+:meth:`~repro.gateway.gateway.ModelGateway.pass_through` gateway.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, List, Optional, Sequence
 
-from repro.models.batching import run_model_batch
 from repro.models.calls import Call, spec_of
 from repro.models.cost import CostMeter
 from repro.models.detector import PixelObjectDetector
@@ -29,6 +29,9 @@ from repro.models.llm import SimulatedLLM
 from repro.models.ner import EntityExtractor
 from repro.models.ocr import OCRTextExtractor
 from repro.models.vlm import SimulatedVLM
+
+if TYPE_CHECKING:  # pragma: no cover - the gateway imports this module
+    from repro.gateway.gateway import SessionGatewayClient
 
 #: The suite attributes that hold a model (what routing wraps).
 MODEL_KINDS = ("llm", "vlm", "embeddings", "ner", "detector", "ocr")
@@ -51,8 +54,8 @@ class ModelSuite:
     vlm_error_rate: float = 0.05
     ocr_error_rate: float = 0.02
     # Set on gateway-routed views of a suite (see :meth:`routed`): the
-    # session's handle on the shared model gateway, or None for direct suites.
-    gateway_client: Optional[object] = None
+    # session's handle on its model gateway, or None on a bare suite.
+    gateway_client: Optional["SessionGatewayClient"] = None
 
     @classmethod
     def create(cls, seed: object = 0, vlm_error_rate: float = 0.05,
@@ -125,26 +128,25 @@ class ModelSuite:
 
         Results equal serial calls', in order, and each member shares the
         equal serial call's request key.  The calls go out ``batch_size`` at
-        a time (default: all at once); a batch of one is priced exactly as
-        the serial call.  A routed suite answers each batch through the
-        gateway funnel, where a one-call batch is the serial call; a direct
-        suite runs it as one batched invocation on the model's own meter.  Either way every member of a
-        batch executes and is billed before its first member error is raised.
+        a time (default: all at once), each batch through the gateway
+        funnel, where a one-call batch is the serial call.  Every member of
+        a batch executes and is billed before its first member error is
+        raised.  Only a routed suite has a funnel to enter.
         """
-        model = getattr(self, kind)
         client = self.gateway_client
-        if client is not None:
-            model = model.wrapped
+        if client is None:
+            raise TypeError("call_many needs a gateway-routed suite; route it "
+                            "with ModelSuite.routed (e.g. through "
+                            "ModelGateway.pass_through())")
+        model = getattr(self, kind).wrapped
         spec = spec_of(model, method)
         built = [spec.build(model, args, kwargs) for args, kwargs in calls]
         step = batch_size or max(1, len(built))
         results: List[Any] = []
         for start in range(0, len(built), step):
-            batch = built[start:start + step]
-            results.extend(
-                run_model_batch(model, method, batch) if client is None else
-                client.invoke_many(model, method, batch,
-                                   semantic_terms_of=spec.semantic_terms))
+            results.extend(client.invoke_many(
+                model, method, built[start:start + step],
+                semantic_terms_of=spec.semantic_terms))
         return results
 
     def reset_costs(self) -> None:

@@ -17,11 +17,11 @@ the simulated models without touching their serial semantics:
 * the total is split back across members proportionally to their serial
   price, so every member still pays its fair share.
 
-:func:`run_model_batch` is the direct (single-meter) executor behind
-:meth:`repro.models.base.ModelSuite.call_many` on an un-routed suite; the
-gateway's one executor (:meth:`repro.gateway.batching.MicroBatcher.execute`)
-uses :func:`plan_batch` itself.  Both bill through :func:`record_shares`:
-one summed share on the batch's one cost meter.
+The gateway's one executor (:meth:`repro.gateway.batching.MicroBatcher.execute`)
+is the only caller: every vector of model calls
+(:meth:`repro.models.base.ModelSuite.call_many`) reaches it through the
+gateway funnel, and it bills each batch through :func:`record_shares`: one
+summed share on the batch's one cost meter.
 """
 
 from __future__ import annotations
@@ -222,8 +222,8 @@ def record_shares(members: Sequence[BatchMember], plan: BatchPlan) -> None:
     """Charge a batch's live members' summed shares to their one model's
     cost meter, as one :class:`~repro.models.cost.BatchedModelCall`.
 
-    Every batch comes from one caller's model (:func:`run_model_batch` and
-    the gateway funnel each take a single model), so it has one meter.
+    Every batch is one chunk of one caller's vector on one model (the
+    gateway funnel takes a single model), so it has one meter.
     """
     alive = [(member, outcome) for member, outcome in zip(members, plan.outcomes)
              if outcome.error is None]
@@ -242,32 +242,3 @@ def record_shares(members: Sequence[BatchMember], plan: BatchPlan) -> None:
         serial_tokens=sum(outcome.serial_tokens for _, outcome in alive),
         latency_s=sum(outcome.latency_share_s for _, outcome in alive))
 
-
-def run_model_batch(model: Any, method: str,
-                    calls: Sequence[Tuple[Tuple[Any, ...], Dict[str, Any]]]) -> List[Any]:
-    """Run many same-method calls on one model as a single batched invocation.
-
-    The un-routed half of :meth:`~repro.models.base.ModelSuite.call_many`:
-    one :class:`~repro.models.cost.BatchedModelCall` covering the whole
-    batch lands on the model's own meter, priced by the sub-linear formula.
-    Every member executes, and every member that succeeds is billed; then
-    the first member error is raised.  The routed funnel bills each executed
-    chunk the same way, so a failing vector costs the same on both routes.
-    (A serial loop would instead stop at the first failure.)  An empty
-    ``calls`` is a free no-op.
-    """
-    if not calls:
-        return []
-    from repro.gateway.fingerprint import canonicalize  # local: avoids a cycle
-    members = [BatchMember(model=model, method=method, args=tuple(args),
-                           kwargs=dict(kwargs),
-                           key=(canonicalize(tuple(args)),
-                                canonicalize({k: v for k, v in kwargs.items()
-                                              if k != "purpose"})))
-               for args, kwargs in calls]
-    plan = plan_batch(members)
-    record_shares(members, plan)
-    for outcome in plan.outcomes:
-        if outcome.error is not None:
-            raise outcome.error
-    return [outcome.result for outcome in plan.outcomes]

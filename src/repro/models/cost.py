@@ -69,10 +69,9 @@ class BatchedModelCall(ModelCall):
     """One batched invocation, or one member's fair share of it.
 
     ``batch_size`` is how many logical calls shared the invocation.
-    ``members`` is how many of them this record covers: the whole batch when
-    an un-routed :meth:`~repro.models.base.ModelSuite.call_many` charges the
-    model's one meter, or the members one session contributed when the
-    gateway splits the charge across the member sessions' meters.
+    ``members`` is how many of them this record covers: every member that
+    succeeded, since the gateway bills a chunk of one caller's vector to
+    that caller's one meter (:func:`~repro.models.batching.record_shares`).
     ``serial_tokens`` is what the covered calls would have cost serially, so
     ``tokens_saved`` is the sub-linear discount this record captures.
     """

@@ -28,10 +28,10 @@ class TableStorage:
 
     KathDB materializes intermediate results and persists generated functions;
     this class covers the table side of that requirement.  Tables are written
-    in the **columnar** format (one value vector per column, matching the
-    in-memory :class:`~repro.relational.columns.ColumnStore` layout); legacy
-    row-major files load transparently — :meth:`~repro.relational.table.Table.from_dict`
-    accepts both payload shapes, so old workspaces keep working.  BLOB
+    and read in the **columnar** format (one value vector per column,
+    matching the in-memory :class:`~repro.relational.columns.ColumnStore`
+    layout); a file in any other layout (such as the retired row-major one)
+    is rejected by :meth:`~repro.relational.table.Table.from_dict`.  BLOB
     columns (raw pixel arrays) are not serialized — they are replaced by a
     marker and come back as NULL.  :meth:`load` flags such lossy restores:
     the returned table's ``lossy_columns`` lists the affected columns and a
@@ -53,7 +53,7 @@ class TableStorage:
         """Write one table atomically; returns the file path."""
         path = self._path(table.name)
         try:
-            payload = table.to_dict(orient="columnar")
+            payload = table.to_dict()
             text = json.dumps(payload, indent=2, default=_json_default)
             atomic_write_text(path, text)
         except (OSError, TypeError, ValueError) as error:
@@ -64,7 +64,9 @@ class TableStorage:
         """Load one table by name.
 
         Emits a :class:`LossyBlobWarning` (and sets ``table.lossy_columns``)
-        when BLOB columns were restored as NULL.
+        when BLOB columns were restored as NULL.  A file that is not a
+        columnar payload raises :class:`ValueError` (see
+        :meth:`~repro.relational.table.Table.from_dict`).
         """
         path = self._path(name)
         if not path.exists():

@@ -436,82 +436,66 @@ class Table:
             return {"__blob__": True, "repr": f"<blob:{type(value).__name__}>"}
         return value
 
-    def to_dict(self, orient: str = "rows") -> Dict[str, Any]:
+    def to_dict(self) -> Dict[str, Any]:
         """Serialize schema and data (BLOB values are replaced by a marker).
 
-        ``orient="rows"`` (the default) keeps the historical row-major
-        payload; ``orient="columnar"`` emits one value vector per column —
-        the on-disk format :class:`~repro.relational.storage.TableStorage`
-        writes.  Both restore through :meth:`from_dict`.
+        The payload is columnar — one value vector per column, the on-disk
+        format :class:`~repro.relational.storage.TableStorage` writes — and
+        restores through :meth:`from_dict`.
         """
-        payload: Dict[str, Any] = {
+        return {
             "name": self.name,
             "description": self.description,
             "schema": self.schema.to_dict(),
-        }
-        if orient == "columnar":
-            payload["format"] = "columnar"
-            payload["row_count"] = len(self._store)
-            payload["lossy_columns"] = list(self.lossy_columns)
-            payload["columns"] = {
+            "format": "columnar",
+            "row_count": len(self._store),
+            "lossy_columns": list(self.lossy_columns),
+            "columns": {
                 col.name: [self._encode_value(col, v)
                            for v in self._store.column(col.name)]
                 for col in self.schema.columns
-            }
-            return payload
-        if orient != "rows":
-            raise ValueError(f"unknown to_dict orient: {orient!r}")
-        rows = []
-        for i in range(len(self._store)):
-            rows.append({col.name: self._encode_value(col, self._store.get(i, col.name))
-                         for col in self.schema.columns})
-        payload["rows"] = rows
-        return payload
+            },
+        }
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "Table":
-        """Inverse of :meth:`to_dict`; accepts row-major and columnar payloads.
+        """Inverse of :meth:`to_dict`: restore a columnar payload.
+
+        A payload that is not marked ``format == "columnar"`` (such as the
+        retired row-major layout) raises :class:`ValueError` naming the
+        table, rather than loading as an empty table.
 
         The restore is *lossy* for BLOB columns: their payloads were replaced
         by markers at save time and come back as NULL.  Affected column names
         are recorded on ``table.lossy_columns`` so callers can detect the
         loss instead of silently reading NULLs
         (:meth:`~repro.relational.storage.TableStorage.load` also emits a
-        :class:`~repro.relational.storage.LossyBlobWarning`).  Columnar
-        payloads additionally carry ``lossy_columns`` forward, so a table
-        that was already lossy stays marked across further round-trips.
+        :class:`~repro.relational.storage.LossyBlobWarning`).  The payload
+        also carries ``lossy_columns`` forward, so a table that was already
+        lossy stays marked across further round-trips.
         """
+        if payload.get("format") != "columnar":
+            raise ValueError(f"table {payload.get('name')!r}: not a columnar "
+                             f"payload (format={payload.get('format')!r})")
         schema = Schema.from_dict(payload["schema"])
         table = cls(payload["name"], schema, description=payload.get("description", ""))
-        lossy = set()
-        if payload.get("format") == "columnar" or "columns" in payload:
-            lossy.update(payload.get("lossy_columns", []))
-            count = int(payload.get("row_count", 0))
-            encoded_columns = payload.get("columns", {})
-            columns: Dict[str, List[Any]] = {}
-            for col in schema.columns:
-                raw = encoded_columns.get(col.name)
-                if raw is None:
-                    raw = [None] * count
-                decoded = []
-                for value in raw:
-                    if isinstance(value, dict) and value.get("__blob__"):
-                        decoded.append(None)
-                        lossy.add(col.name)
-                    else:
-                        decoded.append(col.validate(value))
-                columns[col.name] = decoded
-            table._store.replace_all(columns, count)
-        else:
-            for row in payload.get("rows", []):
-                cleaned = {}
-                for key, value in row.items():
-                    if isinstance(value, dict) and value.get("__blob__"):
-                        cleaned[key] = None
-                        lossy.add(key)
-                    else:
-                        cleaned[key] = value
-                table.insert(cleaned)
+        lossy = set(payload.get("lossy_columns", []))
+        count = int(payload.get("row_count", 0))
+        encoded_columns = payload.get("columns", {})
+        columns: Dict[str, List[Any]] = {}
+        for col in schema.columns:
+            raw = encoded_columns.get(col.name)
+            if raw is None:
+                raw = [None] * count
+            decoded = []
+            for value in raw:
+                if isinstance(value, dict) and value.get("__blob__"):
+                    decoded.append(None)
+                    lossy.add(col.name)
+                else:
+                    decoded.append(col.validate(value))
+            columns[col.name] = decoded
+        table._store.replace_all(columns, count)
         table.lossy_columns = sorted(lossy)
         return table
 

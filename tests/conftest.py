@@ -18,6 +18,7 @@ from repro.data.workloads import (
     FLAGSHIP_CORRECTION,
     FLAGSHIP_QUERY,
 )
+from repro.gateway.gateway import ModelGateway
 from repro.models.base import ModelSuite
 from repro.relational.catalog import Catalog
 from repro.relational.table import Table
@@ -61,16 +62,22 @@ def corpus():
     return build_movie_corpus(size=CORPUS_SIZE, seed=CORPUS_SEED)
 
 
+def pass_through_suite():
+    """A suite routed through a pass-through gateway: every call executes and
+    is billed, and vectors of calls (``call_many``) have their funnel."""
+    return ModelSuite.create(seed=42).routed(ModelGateway.pass_through(), "test")
+
+
 @pytest.fixture(scope="session")
 def models():
     """A shared simulated-model suite (deterministic, read-only usage)."""
-    return ModelSuite.create(seed=42)
+    return pass_through_suite()
 
 
 @pytest.fixture()
 def fresh_models():
     """A fresh model suite for tests that mutate the lexicon or count tokens."""
-    return ModelSuite.create(seed=42)
+    return pass_through_suite()
 
 
 @pytest.fixture()

@@ -165,7 +165,7 @@ class TestLossyPropagation:
         second save, so only the explicit ``lossy_columns`` payload field can
         keep the flag alive."""
         restored = self._lossy_table()
-        twice = Table.from_dict(restored.to_dict(orient="columnar"))
+        twice = Table.from_dict(restored.to_dict())
         assert twice.lossy_columns == ["image"]
 
 
@@ -216,14 +216,17 @@ class TestStorageRoundTrip:
         assert payload["columns"]["title"] == ["Heat", "Ronin", "Drive"]
         assert "rows" not in payload
 
-    def test_legacy_row_major_file_still_loads(self, tmp_path):
+    def test_row_major_payload_is_rejected(self, tmp_path):
         storage = TableStorage(tmp_path)
         table = movies()
-        legacy = table.to_dict()  # historical row-major payload
-        assert "rows" in legacy and "columns" not in legacy
-        (tmp_path / "movies.json").write_text(json.dumps(legacy))
-        loaded = storage.load("movies")
-        assert [dict(r) for r in loaded] == [dict(r) for r in table]
+        payload = table.to_dict()
+        row_major = {key: payload[key] for key in ("name", "description", "schema")}
+        row_major["rows"] = [dict(r) for r in table]
+        with pytest.raises(ValueError, match="'movies'"):
+            Table.from_dict(row_major)
+        (tmp_path / "movies.json").write_text(json.dumps(row_major))
+        with pytest.raises(ValueError, match="not a columnar payload"):
+            storage.load("movies")
 
     def test_blobless_round_trip_emits_no_warning(self, tmp_path):
         import warnings

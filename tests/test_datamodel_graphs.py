@@ -6,6 +6,7 @@ from repro.datamodel.lineage import LINEAGE_LEVEL_TABLE, LineageStore
 from repro.datamodel.scene_graph import populate_scene_graph
 from repro.datamodel.text_graph import populate_text_graph
 from repro.datamodel.views import ViewPopulator
+from repro.gateway.gateway import ModelGateway
 from repro.models.base import ModelSuite
 from repro.relational.catalog import Catalog
 
@@ -13,7 +14,7 @@ from repro.relational.catalog import Catalog
 @pytest.fixture()
 def perfect_models():
     """Noise-free models so counts are exact."""
-    return ModelSuite.create(seed=1, vlm_error_rate=0.0)
+    return ModelSuite.create(seed=1, vlm_error_rate=0.0).routed(ModelGateway.pass_through(), "test")
 
 
 class TestSceneGraphPopulation:

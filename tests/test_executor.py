@@ -10,6 +10,7 @@ from repro.executor.engine import ExecutionEngine
 from repro.executor.monitor import ANOMALY_OPTIONS, ExecutionMonitor
 from repro.fao.codegen import Coder, FAULT_SEMANTIC_REVERSED, FAULT_SYNTACTIC_FRAGILE
 from repro.fao.registry import FunctionRegistry
+from repro.gateway.gateway import ModelGateway
 from repro.interaction.channel import InteractionChannel, InteractionKind
 from repro.interaction.user import ScriptedUser, SilentUser
 from repro.models.base import ModelSuite
@@ -23,7 +24,7 @@ from repro.relational.table import Table
 
 def build_environment(corpus, fault_injection=None, lineage_level="row", monitor_enabled=True):
     """A fresh, fully wired execution environment for one test."""
-    models = ModelSuite.create(seed=13)
+    models = ModelSuite.create(seed=13).routed(ModelGateway.pass_through(), "test")
     catalog = Catalog()
     lineage = LineageStore(level=lineage_level)
     ViewPopulator(models, catalog, lineage).load_corpus(corpus)

@@ -13,6 +13,7 @@ from repro.fao.library import ImplementationLibrary
 from repro.fao.profiler import Profiler
 from repro.fao.registry import FunctionRegistry
 from repro.fao.signature import FunctionSignature
+from repro.gateway.gateway import ModelGateway
 from repro.interaction.channel import InteractionChannel
 from repro.interaction.user import ScriptedUser
 from repro.models.base import ModelSuite
@@ -22,11 +23,12 @@ from repro.parser.nl_parser import NLParser
 from repro.parser.plan_generator import LogicalPlanGenerator
 from repro.relational.catalog import Catalog
 from repro.relational.table import Table
+from repro.skills.backends import FileBackend
 
 
 @pytest.fixture()
 def fao_models():
-    return ModelSuite.create(seed=5)
+    return ModelSuite.create(seed=5).routed(ModelGateway.pass_through(), "test")
 
 
 @pytest.fixture()
@@ -68,7 +70,7 @@ class TestSignatureAndRegistry:
         assert "classify_boring" in signature.describe()
 
     def test_registry_versioning(self, fao_models, tmp_path):
-        registry = FunctionRegistry(workspace=tmp_path)
+        registry = FunctionRegistry(source_sink=FileBackend(tmp_path))
         node = make_node("gen_excitement_score", family="semantic_score",
                          score_column="excitement_score",
                          concept="excitement", keywords=["gun"])
@@ -103,7 +105,7 @@ class TestSignatureAndRegistry:
 @pytest.fixture(scope="module")
 def drafted_plans(corpus):
     """Plans of the six default shapes, a paraphrase and a novel request."""
-    models = ModelSuite.create(seed=5)
+    models = ModelSuite.create(seed=5).routed(ModelGateway.pass_through(), "test")
     catalog = Catalog()
     ViewPopulator(models, catalog, LineageStore()).load_corpus(corpus)
     requests = {query.name: (query.nl_query, query.clarification_answers, query.corrections)

@@ -572,7 +572,7 @@ class TestAdmissionControl:
         db = KathDB(service_config())
         db.load_corpus(corpus)
         legacy = db.default_session
-        assert legacy.tokens_remaining is None   # un-routed: never exhausts
+        assert legacy.tokens_remaining is None   # pass-through: no quota
         assert not legacy.quota_exhausted
 
     def test_internal_namespace_is_not_caller_reachable(self):
@@ -648,7 +648,8 @@ class TestAdmissionControl:
 class TestServiceIntegration:
     def test_gateway_on_off_rows_identical(self, corpus):
         on = fresh_service(corpus)
-        # "Off" is the legacy facade's default session: a direct model path.
+        # "Off" is the legacy facade's default session: a pass-through
+        # gateway with no tier that could answer a call.
         from repro import KathDB
         off = KathDB(service_config())
         off.load_corpus(corpus)
@@ -662,7 +663,8 @@ class TestServiceIntegration:
             assert content(a) == content(b)
         saved = sum(r.gateway_stats["tokens_saved"] for r in with_gateway)
         assert saved > 0
-        assert all(r.gateway_stats is None for r in without)
+        assert all(r.gateway_stats["hits"] == 0 and r.gateway_stats["tokens_saved"] == 0
+                   for r in without)
 
     def test_repeated_query_tokens_collapse(self, corpus):
         svc = fresh_service(corpus)
@@ -770,19 +772,31 @@ class TestServiceIntegration:
         assert "misses" not in svc.gateway_stats(session_id="nobody")
         assert svc.gateway.session_counters("nobody") is None
 
-    def test_legacy_facade_gateway_stats_are_empty(self, corpus):
+    def test_legacy_facade_gateway_stats_show_no_tier_hits(self, corpus):
         from repro import KathDB
         db = KathDB(service_config())
         db.load_corpus(corpus)
-        assert db.default_session.gateway_stats(window_s=60.0) == {}
+        db.query(BORING_QUERY, user=SilentUser())
+        db.query(BORING_QUERY, user=SilentUser())
+        stats = db.default_session.gateway_stats(window_s=60.0)
+        assert stats["session_id"] == "default"
+        assert stats["misses"] > 0 and stats["windowed"]["misses"] > 0
+        assert stats["hits"] == stats["semantic_hits"] == stats["coalesced"] == 0
+        assert stats["tokens_saved"] == 0
 
-    def test_legacy_facade_stays_unrouted(self, corpus):
+    def test_legacy_facade_rides_a_pass_through_gateway(self, corpus):
         from repro import KathDB
         db = KathDB(service_config())
         db.load_corpus(corpus)
-        assert getattr(db.default_session.models, "gateway_client", None) is None
+        client = db.default_session.models.gateway_client
+        assert client.gateway is not db.service.gateway
+        assert db.models.cost_meter is db.service.models.cost_meter
+        service_stats = db.service.gateway_stats()
         result_a = db.query(BORING_QUERY, user=SilentUser())
         tokens_a = result_a.total_tokens
         result_b = db.query(BORING_QUERY, user=SilentUser())
-        # Historical accounting: the facade re-pays the full cost every time.
+        # Historical accounting: the facade re-pays the full cost every time,
+        # and none of its traffic shows in the service's gateway stats.
         assert result_b.total_tokens == tokens_a > 0
+        assert db.service.gateway_stats() == service_stats
+        assert client.counters.tokens_charged == client.spent() > 0

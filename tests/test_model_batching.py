@@ -1,7 +1,8 @@
 """Tests for true batched model execution (`repro.models.batching`).
 
-Covers the contract at the model layer: a vector of calls through an
-un-routed suite's :meth:`~repro.models.base.ModelSuite.call_many` is
+Covers the contract at the model layer: a vector of calls through
+:meth:`~repro.models.base.ModelSuite.call_many` on a suite routed through a
+pass-through gateway (no tier answers, every call executes) is
 element-wise identical to serial calls
 (bit-identical embeddings, same entities/boxes/text), charged as a single
 :class:`~repro.models.cost.BatchedModelCall` whose token cost is sub-linear
@@ -20,12 +21,17 @@ from repro import build_movie_corpus
 from repro.gateway.gateway import GatewayConfig, ModelGateway
 from repro.models.base import ModelSuite
 from repro.models.batching import BatchMember, plan_batch
-from repro.models.cost import BatchedModelCall, CostMeter
+from repro.models.cost import BatchedModelCall, CostMeter, ModelCall
+
+
+def pass_through_suite():
+    return ModelSuite.create(seed=42, cost_meter=CostMeter()).routed(
+        ModelGateway.pass_through(), "s")
 
 
 @pytest.fixture()
 def suite():
-    return ModelSuite.create(seed=42, cost_meter=CostMeter())
+    return pass_through_suite()
 
 
 @pytest.fixture(scope="module")
@@ -85,13 +91,13 @@ class TestSublinearCost:
     def test_batch_charges_one_call_below_serial_price(self, suite, batch_corpus):
         images = [m.poster for m in batch_corpus.movies]
         serial_meter = CostMeter()
-        suite.detector.cost_meter = serial_meter
+        suite.detector.wrapped.cost_meter = serial_meter
         for image in images:
             suite.detector.detect(image)
         serial_tokens = serial_meter.total_tokens
 
         batch_meter = CostMeter()
-        suite.detector.cost_meter = batch_meter
+        suite.detector.wrapped.cost_meter = batch_meter
         many(suite, "detector", "detect", images)
         call = only_call(batch_meter)
         assert call.batch_size == len(images)
@@ -118,11 +124,11 @@ class TestSublinearCost:
     def test_batch_latency_is_one_invocation(self, suite, batch_corpus):
         images = [m.poster for m in batch_corpus.movies]
         serial_meter = CostMeter()
-        suite.ocr.cost_meter = serial_meter
+        suite.ocr.wrapped.cost_meter = serial_meter
         for image in images:
             suite.ocr.extract_text(image)
         batch_meter = CostMeter()
-        suite.ocr.cost_meter = batch_meter
+        suite.ocr.wrapped.cost_meter = batch_meter
         many(suite, "ocr", "extract_text", images)
         assert batch_meter.total_latency_s < serial_meter.total_latency_s
 
@@ -146,21 +152,30 @@ class TestSublinearCost:
         images = [m.poster for m in batch_corpus.movies][:5]
         results = suite.call_many("detector", "detect",
                                   [((image,), {}) for image in images], batch_size=2)
+        chunks = list(suite.cost_meter.calls)
         assert results == [suite.detector.detect(image) for image in images]
-        batched = [c for c in suite.cost_meter.calls if isinstance(c, BatchedModelCall)]
-        assert [c.batch_size for c in batched] == [2, 2, 1]
+        # Chunks of two run as batched invocations; the one-member tail runs
+        # as the serial call it equals, billed as a plain record.
+        assert [type(c) for c in chunks] == [BatchedModelCall, BatchedModelCall,
+                                             ModelCall]
+        assert [c.batch_size for c in chunks[:2]] == [2, 2]
+        assert chunks[2].total_tokens == suite.cost_meter.calls[-1].total_tokens
 
     def test_failing_vector_bills_the_same_on_both_routes(self, batch_corpus):
+        # A pass-through gateway and a service-style gateway with every tier
+        # on (and nothing cached yet) bill a failing vector identically.
         texts = [batch_corpus.movies[0].plot, 123, batch_corpus.movies[1].plot]
-        direct = ModelSuite.create(seed=42, cost_meter=CostMeter())
+        pass_through = pass_through_suite()
         routed = ModelSuite.create(seed=42, cost_meter=CostMeter()).routed(
             ModelGateway(GatewayConfig()), "s")
-        for suite in (direct, routed):
+        for suite in (pass_through, routed):
             with pytest.raises(AttributeError):
                 many(suite, "ner", "extract", texts)
-        assert routed.cost_meter.total_tokens == direct.cost_meter.total_tokens > 0
+        assert routed.cost_meter.total_tokens == \
+            pass_through.cost_meter.total_tokens > 0
         assert routed.gateway_client.counters.tokens_charged == \
-            direct.cost_meter.total_tokens
+            pass_through.gateway_client.counters.tokens_charged == \
+            pass_through.cost_meter.total_tokens
 
 
 class TestPlanBatch:

@@ -121,8 +121,17 @@ class TestConformance:
         suite = ModelSuite.create(seed=7)
         with pytest.raises(KeyError, match="not a declared model call"):
             spec_of(suite.llm, "clarification_question")
+        _, routed = routed_suite()
         with pytest.raises(KeyError, match="not a declared model call"):
-            suite.call_many("llm", "clarification_question", [(("x",), {})])
+            routed.call_many("llm", "clarification_question", [(("x",), {})])
+
+    def test_vectors_need_a_routed_suite(self):
+        # call_many has one route, the gateway funnel; a bare suite has no
+        # funnel, so it is told how to get one instead of running unmetered.
+        suite = ModelSuite.create(seed=7)
+        with pytest.raises(TypeError, match="ModelSuite.routed"):
+            suite.call_many("embeddings", "embed_text", [(("a calm walk",), {})])
+        assert len(suite.cost_meter) == 0
 
 
 class TestRequestKeys:

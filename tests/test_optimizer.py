@@ -6,6 +6,7 @@ from repro.data.workloads import FLAGSHIP_CLARIFICATION, FLAGSHIP_CORRECTION, FL
 from repro.datamodel.lineage import LineageStore
 from repro.datamodel.views import ViewPopulator
 from repro.fao.registry import FunctionRegistry
+from repro.gateway.gateway import ModelGateway
 from repro.interaction.channel import InteractionChannel
 from repro.interaction.user import ScriptedUser, SilentUser
 from repro.models.base import ModelSuite
@@ -21,7 +22,7 @@ from repro.relational.catalog import Catalog
 @pytest.fixture(scope="module")
 def opt_env(corpus):
     """A populated catalog plus the flagship logical plan (module-scoped)."""
-    models = ModelSuite.create(seed=11)
+    models = ModelSuite.create(seed=11).routed(ModelGateway.pass_through(), "test")
     catalog = Catalog()
     ViewPopulator(models, catalog, LineageStore()).load_corpus(corpus)
     channel = InteractionChannel(ScriptedUser({"exciting": FLAGSHIP_CLARIFICATION},

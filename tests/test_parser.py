@@ -6,6 +6,7 @@ import pytest
 
 from repro.data.workloads import FLAGSHIP_CLARIFICATION, FLAGSHIP_CORRECTION, FLAGSHIP_QUERY
 from repro.errors import PlanError
+from repro.gateway.gateway import ModelGateway
 from repro.interaction.channel import InteractionChannel, InteractionKind
 from repro.interaction.user import ScriptedUser, SilentUser
 from repro.models.base import ModelSuite
@@ -18,7 +19,7 @@ from repro.parser.sketch import QuerySketch
 
 @pytest.fixture()
 def parser_models():
-    return ModelSuite.create(seed=3)
+    return ModelSuite.create(seed=3).routed(ModelGateway.pass_through(), "test")
 
 
 @pytest.fixture()

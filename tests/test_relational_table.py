@@ -119,7 +119,7 @@ class TestSerialization:
         table = Table("blobs", Schema([Column("id", DataType.INTEGER),
                                        Column("payload", DataType.BLOB)]))
         table.insert({"id": 1, "payload": object()})
-        payload = table.to_dict()["rows"][0]["payload"]
+        payload = table.to_dict()["columns"]["payload"][0]
         assert payload["__blob__"] is True
         restored = Table.from_dict(table.to_dict())
         assert restored[0]["payload"] is None

@@ -25,6 +25,7 @@ from repro.fao.function import FunctionContext
 from repro.gateway.gateway import GatewayConfig, ModelGateway
 from repro.models.cascade import CascadeStage, ModelCascade
 from repro.models.base import ModelSuite
+from repro.models.cost import BatchedModelCall
 from repro.parser.logical_plan import LogicalPlanNode
 from repro.relational.catalog import Catalog
 from repro.relational.indexes import HashIndex
@@ -38,6 +39,11 @@ def match_fraction_many(suite, query_terms, candidate_lists):
     return suite.call_many("embeddings", "match_fraction",
                            [((query_terms, candidates), {})
                             for candidates in candidate_lists])
+
+
+def pass_through_suite():
+    """A suite whose calls all execute: routed through a pass-through gateway."""
+    return ModelSuite.create(seed=7).routed(ModelGateway.pass_through(), "test")
 
 
 def make_node(name, family, inputs, output, **params):
@@ -106,7 +112,7 @@ class TestBodyEquivalence:
     """Element-wise vectorized-vs-serial equivalence per rewritten body."""
 
     def test_embedding_match_density(self, vec_catalog):
-        models = ModelSuite.create(seed=7)
+        models = pass_through_suite()
         node = make_node("gen_excitement_score", "semantic_score",
                          ["films_with_text_entities"],
                          "scored", keywords=KEYWORDS, concept="excitement",
@@ -119,7 +125,7 @@ class TestBodyEquivalence:
         assert any(row["excitement_score"] > 0 for row in serial)
 
     def test_vlm_classify(self, vec_tables, vec_catalog):
-        models = ModelSuite.create(seed=7)
+        models = pass_through_suite()
         node = make_node("classify_boring", "classify_image", ["films_with_image_scene"],
                          "flagged", flag_column="boring_poster",
                          concept="boring_visual")
@@ -131,7 +137,7 @@ class TestBodyEquivalence:
         assert serial[-1]["boring_poster"] is None
 
     def test_cascade(self, vec_tables, vec_catalog):
-        models = ModelSuite.create(seed=7)
+        models = pass_through_suite()
         node = make_node("classify_boring", "classify_image", ["films_with_image_scene"],
                          "flagged", flag_column="boring_poster",
                          concept="boring_visual")
@@ -158,7 +164,7 @@ class TestBodyEquivalence:
                          "flagged", flag_column="boring_poster",
                          concept="boring_visual")
         films = films_for_classify(vec_tables)
-        scene_rows = run_variant("scene_statistics", 0, ModelSuite.create(seed=7),
+        scene_rows = run_variant("scene_statistics", 0, pass_through_suite(),
                                  vec_catalog, films, node)
         reference_vlm = ModelSuite.create(seed=7).vlm
         image_by_movie = {row["movie_id"]: row["image"]
@@ -188,17 +194,27 @@ class TestBodyEquivalence:
         assert 999999 in escalated
         assert 0 < len(with_poster) < len(escalated) < len(films)
 
-        models = ModelSuite.create(seed=7)
-        rows = run_variant("cascade", chunk, models, vec_catalog, films, node)
-        assert [{k: row[k] for k in ("boring_score", "boring_poster")} for row in rows] \
+        models = pass_through_suite()
+        function = Coder(models).generate(node, variant="cascade")
+        counters = models.gateway_client.counters
+        marker = counters.snapshot()
+        output = function.execute({node.inputs[0]: films}, FunctionContext(
+            models=models, catalog=vec_catalog, batch_size=chunk))
+        assert [{k: row[k] for k in ("boring_score", "boring_poster")} for row in output] \
             == [decision.prediction for decision in decisions]
-        # Only escalated rows with a poster reach the VLM.
+        # Only escalated rows with a poster reach the VLM: the funnel
+        # executes one member per such row.  A one-member chunk runs as the
+        # serial call, billed as plain records rather than as a batch.
+        assert counters.delta(marker)["misses"] == len(with_poster)
         vlm_calls = [c for c in models.cost_meter.calls if c.model.startswith("vlm")]
-        assert sum(c.members for c in vlm_calls) == len(with_poster)
+        batched = [c for c in vlm_calls if isinstance(c, BatchedModelCall)]
+        assert sum(c.members for c in batched) == sum(counters.batch_sizes)
+        if chunk == 1:
+            assert not batched and vlm_calls
 
     def test_bodies_batch_through_a_routed_suite(self, vec_catalog):
-        """The gateway path returns the same rows and fills the shared cache."""
-        models = ModelSuite.create(seed=7)
+        """A full gateway returns the pass-through rows and fills its cache."""
+        models = pass_through_suite()
         gateway = ModelGateway(GatewayConfig())
         routed = models.fork().routed(gateway, "s1")
         node = make_node("gen_excitement_score", "semantic_score",
@@ -218,8 +234,8 @@ class TestBodyEquivalence:
 class TestPopulatorEquivalence:
     def test_scene_graph_rows_and_lineage_match(self, vec_tables):
         posters = vec_tables["poster_images"]
-        serial_models = ModelSuite.create(seed=7)
-        batched_models = ModelSuite.create(seed=7)
+        serial_models = pass_through_suite()
+        batched_models = pass_through_suite()
         serial = populate_scene_graph(posters.rows, serial_models,
                                       lineage=LineageStore(), parent_lid=1,
                                       batch_size=1)
@@ -236,8 +252,8 @@ class TestPopulatorEquivalence:
 
     def test_text_graph_rows_and_lineage_match(self, vec_tables):
         plots = vec_tables["film_plot"]
-        serial_models = ModelSuite.create(seed=7)
-        batched_models = ModelSuite.create(seed=7)
+        serial_models = pass_through_suite()
+        batched_models = pass_through_suite()
         serial = populate_text_graph(plots.rows, serial_models,
                                      lineage=LineageStore(), parent_lid=1,
                                      batch_size=1)
@@ -320,6 +336,19 @@ class TestGatewayBatchClient:
         # the duplicate shared its representative's computation.
         assert counters.misses == 6
         assert gateway.flat_stats()["cache_entries"] == 5
+
+    def test_one_member_chunk_is_not_counted_as_a_batch(self):
+        # A one-call vector, then a two-call vector whose first member hits:
+        # the lone miss runs as a serial call, so neither the session's
+        # batch counters nor BatchStats count a batch.
+        gateway, routed = self._routed()
+        routed.call_many("embeddings", "embed_text", [(("a calm walk",), {})])
+        routed.call_many("embeddings", "embed_text",
+                         [(("a calm walk",), {}), (("a loud chase",), {})])
+        counters = routed.gateway_client.counters
+        assert (counters.hits, counters.misses) == (1, 2)
+        assert counters.batch_calls == 0 == gateway.stats()["batching"]["batches"]
+        assert counters.batch_sizes == []
 
     def test_semantic_tier_stays_live_for_vectors(self):
         # With the near-match tier enabled, the batch client consults it
